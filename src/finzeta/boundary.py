@@ -1,4 +1,5 @@
-"""Unitarity classification of G_{k,l}(T) = 1 - T + T^{lk+1} - T^{k(l+1)}.
+"""Unitarity of G_{k,l}(T) = 1 - T + T^{lk+1} - T^{k(l+1)} (qpoly.build_G):
+the cofactor H_{k,l}, Aberth-Ehrlich roots of an IntPoly, the verdict.
 
 A polynomial in 1 + T C[T] is unitary when all its roots lie on the unit
 circle.  Unitary G_{k,l} means the Dirichlet series with local factor
@@ -8,10 +9,11 @@ circle pins the natural boundary Re s = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .qpoly import IntPoly, build_G, one_minus_q, poly_mul, poly_trim
 
 # ||root| - 1| below this counts as on the unit circle; genuinely off-circle
 # roots of these small integer polynomials sit far outside the window.
@@ -21,70 +23,17 @@ _MAX_ITER = 500
 _CONVERGE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, constant term first, nonzero leading coefficient."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def deriv(self) -> "IntPoly":
-        if self.degree == 0:
-            raise ValueError("constant polynomial has no useful derivative here")
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def mul(self, other: "IntPoly") -> "IntPoly":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
-
-
-def build_G(k: int, l: int) -> IntPoly:
-    """1 - T + T^{lk+1} - T^{k(l+1)}; exponent collisions collapse (k = 1
-    leaves just 1 - T)."""
-    if k < 1 or l < 1:
-        raise ValueError("need k, l >= 1")
-    coeffs = [0] * (k * (l + 1) + 1)
-    coeffs[0] += 1
-    coeffs[1] -= 1
-    coeffs[l * k + 1] += 1
-    coeffs[k * (l + 1)] -= 1
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return IntPoly(tuple(coeffs))
-
-
 def factor_H(k: int, l: int) -> IntPoly:
     """H_{k,l}(T) = 1 + (T^k - T) sum_{j=0}^{l-1} T^{kj}, the cofactor of
     (1 - T^k) in G_{k,l}.  The product identity is asserted, not assumed."""
-    if k < 1 or l < 1:
-        raise ValueError("need k, l >= 1")
+    g = build_G(k, l)
     coeffs = [0] * (k * l + 1)
     coeffs[0] += 1
     for j in range(l):
         coeffs[k + k * j] += 1
         coeffs[1 + k * j] -= 1
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    h = IntPoly(tuple(coeffs))
-    one_minus_tk = IntPoly(tuple([1] + [0] * (k - 1) + [-1]))
-    if one_minus_tk.mul(h) != build_G(k, l):
+    h = IntPoly(tuple(poly_trim(coeffs)))
+    if poly_mul(one_minus_q(k), h.coeffs) != list(g.coeffs):
         raise ArithmeticError(f"(1 - T^{k}) * H != G at k={k}, l={l}")
     return h
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -15,25 +16,26 @@ from . import boundary, powerful, qpoly, stats, zeta
 SCHEMA_VERSION = 1
 _EVAL_TOL = 1e-10
 
-# parsed FINZETA_THREADS cap; all computation is currently single-threaded,
-# the variable is validated and recorded for forward compatibility
-_THREAD_CAP: int | None = None
 
-
-def _parse_point(text: str):
+def _parse_point(text: str, convs=(int, float, complex)):
     """Number argument: int when possible, then float, then complex.
 
-    Accepts 'i' or 'j' for the imaginary unit, e.g. 0.5+2i.
+    Accepts 'i' or 'j' for the imaginary unit, e.g. 0.5+2i; rejects nan, inf.
     """
-    for conv in (int, float):
+    j_text = text.replace("i", "j").replace("J", "j")
+    for conv in convs:
         try:
-            return conv(text)
+            value = conv(j_text if conv is complex else text)
         except ValueError:
-            pass
-    try:
-        return complex(text.replace("i", "j").replace("J", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a number") from None
+            continue
+        if conv is not int and not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        return value
+    raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a number")
+
+
+def _finite_float(text: str) -> float:
+    return _parse_point(text, (float,))
 
 
 def _parse_gamma(text: str) -> tuple[int, ...]:
@@ -105,7 +107,7 @@ def _csv_cell(v) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonify(report), indent=2, sort_keys=True))
+        print(json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
         rows = []
@@ -354,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="zeros of Z^m_N on the imaginary axis")
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--height", type=float, default=30.0)
+    p.add_argument("--height", type=_finite_float, default=30.0)
     p.add_argument("--all-candidates", action="store_true",
                    help="include coincidence points of vanishing order 0")
     p.set_defaults(handler=_cmd_zeros)
@@ -389,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("g_m_inf", "Z_at_sigma", "Z_at_zero"))
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--max", type=int, default=10**6)
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_finite_float, default=None,
                    help="required for kind Z_at_sigma")
     p.set_defaults(handler=_cmd_average)
 
@@ -403,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _THREAD_CAP
     threads = os.environ.get("FINZETA_THREADS")
     if threads is not None:
         try:
@@ -416,7 +417,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        _THREAD_CAP = cap
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
@@ -424,6 +424,12 @@ def main(argv=None) -> int:
         report, code = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # parameters are finite once parsed; a result cell may overflow to inf or nan
+    cells = [v for row in report["results"] for v in row.values()]
+    if not all(cmath.isfinite(v) for v in cells if isinstance(v, (float, complex))):
+        hint = "; use --exact for an integer s" if args.command == "eval" else ""
+        print(f"error: result is not finite{hint}", file=sys.stderr)
         return 2
     _emit(report, args.format)
     if args.timing:

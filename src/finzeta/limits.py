@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .arith import divisors, mobius
 from .powerful import sieve_step_powerful
-from .zeta import chain_product_counts
+from .zeta import eval_brute
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin correction.
 _BERNOULLI = (
@@ -173,7 +173,7 @@ def moebius_power_coeffs(c: int, bound: int) -> list[int]:
 def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
     """Both coefficient routes of sum_n Z^m_n(s) n^{-t} = prod_{k=0}^m zeta(sk+t).
 
-    lhs[n] = Z^m_n(s) summed over divisor chains of n, exact.
+    lhs[n] = Z^m_n(s) summed over divisor chains of n, exact (eval_brute).
     rhs[n] = sum over n_0 n_1 ... n_m = n of prod_k n_k^{-sk}, by convolving
     the m+1 factor sequences.  Positive s is handled by rescaling with n^{sm}
     so every intermediate stays an integer.
@@ -183,15 +183,7 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError("s must be an integer for exact coefficients")
 
-    lhs = [0] * (bound + 1)
-    for n in range(1, bound + 1):
-        counts = chain_product_counts(n, m)
-        if s <= 0:
-            lhs[n] = sum(c * v ** (-s) for v, c in counts.items())
-        else:
-            top = n**m
-            scaled = sum(c * (top // v) ** s for v, c in counts.items())
-            lhs[n] = Fraction(scaled, top**s)
+    lhs = [0] + [eval_brute(n, m, s, exact=True) for n in range(1, bound + 1)]
 
     if s <= 0:
         conv = [0] + [1] * bound

@@ -1,8 +1,9 @@
-"""Exact integer arithmetic for q-series and multivariate q-polynomials.
+"""Exact integer arithmetic for polynomials, q-series and multivariate q-polys.
 
-Two representations live here.  QSeries is a power series in one variable q
-truncated at a fixed order (dense tuple of int coefficients).  MultiQPoly is
-an exact polynomial in q_1..q_m stored sparsely as {exponent vector: int}.
+Three representations live here.  IntPoly (G_{k,l} is one) is a dense integer
+polynomial over the plain-list helpers poly_mul / poly_div_exact.  QSeries is
+a power series in q truncated at a fixed order.  MultiQPoly is an exact
+polynomial in q_1..q_m stored sparsely as {exponent vector: int}.
 
 On top of them: Gaussian binomials, the chain generating polynomials
 
@@ -32,16 +33,6 @@ def poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -88,6 +79,48 @@ def one_minus_q(a: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True)
+class IntPoly:
+    """Integer polynomial, constant term first, nonzero leading coefficient."""
+
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.coeffs or self.coeffs[-1] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x):
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
+
+    def deriv(self) -> "IntPoly":
+        if self.degree == 0:
+            raise ValueError("constant polynomial has no useful derivative here")
+        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+
+    def mul(self, other: "IntPoly") -> "IntPoly":
+        return IntPoly(tuple(poly_mul(self.coeffs, other.coeffs)))
+
+
+def build_G(k: int, l: int) -> IntPoly:
+    """G_{k,l}(T) = 1 - T + T^{lk+1} - T^{k(l+1)}; exponent collisions
+    collapse (k = 1 leaves just 1 - T)."""
+    if k < 1 or l < 1:
+        raise ValueError("need k, l >= 1")
+    coeffs = [0] * (k * (l + 1) + 1)
+    coeffs[0] += 1
+    coeffs[1] -= 1
+    coeffs[l * k + 1] += 1
+    coeffs[k * (l + 1)] -= 1
+    return IntPoly(tuple(poly_trim(coeffs)))
+
+
 # ---------------------------------------------------------------------------
 # truncated one-variable series
 
@@ -131,11 +164,6 @@ class QSeries:
         for i in range(0, trunc + 1, a):
             c[i] = 1
         return cls(tuple(c), trunc)
-
-    def coefficient(self, i: int) -> int:
-        if not 0 <= i <= self.trunc:
-            raise IndexError(f"order {i} beyond truncation {self.trunc}")
-        return self.coeffs[i]
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.trunc:
@@ -183,10 +211,6 @@ class QSeries:
     def __str__(self) -> str:
         parts = [f"{c}*q^{i}" for i, c in enumerate(self.coeffs) if c]
         return (" + ".join(parts) or "0") + f" + O(q^{self.trunc + 1})"
-
-
-def series_from_poly(coeffs: Sequence[int], trunc: int) -> QSeries:
-    return QSeries.from_coeffs(coeffs, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +303,6 @@ class MultiQPoly:
         return bool(self.terms)
 
     # structure ------------------------------------------------------------
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def truncate_total(self, bound: int) -> "MultiQPoly":
-        return MultiQPoly(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= bound}
-        )
 
     def substitute_powers(self, powers: Sequence[int]) -> "MultiQPoly":
         """q_i -> q_i^{powers[i]}."""
@@ -547,15 +563,8 @@ def gfun_steps_series(k: int, l: int, trunc: int) -> QSeries:
 
     The final fraction is an exact polynomial; the division is checked.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
     _check_trunc(trunc)
-    num = [0] * (k * (l + 1) + 1)
-    num[0] += 1
-    num[1] -= 1
-    num[l * k + 1] += 1
-    num[k * (l + 1)] -= 1
-    reduced = poly_div_exact(poly_trim(num), [1, -1])
+    reduced = poly_div_exact(build_G(k, l).coeffs, one_minus_q(1))
     out = QSeries.from_coeffs(reduced, trunc)
     for j in range(1, l + 2):
         out = out * QSeries.geometric(j * k, trunc)

@@ -4,20 +4,18 @@ q-series coefficients."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
     bounded_partition_count,
-    divisor_chains,
     divisors,
     factorize,
     multiplicative_sieve,
     sigma as divisor_sigma,
 )
 from .limits import riemann_zeta
-from .zeta import eval_brute
+from .zeta import chain_product_counts, eval_brute
 
 _RATE_NOTE = (
     "no convergence rate is proved for these averages; "
@@ -48,7 +46,7 @@ def coefficient_identity_check(N: int, m: int) -> bool:
     supported on divisors of N^m."""
     if N < 1 or m < 1:
         raise ValueError("need N, m >= 1")
-    got = Counter(math.prod(chain) for chain in divisor_chains(N, m))
+    got = chain_product_counts(N, m)
     fact = factorize(N)
     predicted: dict[int, int] = {}
     for d in divisors(N**m):

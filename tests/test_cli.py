@@ -193,6 +193,30 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["eval", "-N", "0", "-m", "1", "-s", "2"]) == 2
     capsys.readouterr()
+    for argv in (
+        ["eval", "-N", "12", "-m", "2", "-s", "nan"],
+        ["eval", "-N", "12", "-m", "2", "-s", "inf"],
+        ["eval", "-N", "12", "-m", "2", "--point=nan+1i"],
+        ["zeros", "-N", "2", "-m", "2", "--height", "nan"],
+        ["average", "Z_at_sigma", "-m", "2", "--max", "1000", "--sigma", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered", "ignore:invalid value encountered"
+)
+def test_non_finite_result_is_an_error(capsys):
+    # Z^4_N(-10) is near N^40 = 2^1200: brute overflows to inf+nani, Euler to inf
+    code, out, err = run(
+        capsys, "eval", "-N", str(2**30), "-m", "4", "-s", "-10", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--exact" in err
 
 
 def test_thread_env_validation(capsys, monkeypatch):

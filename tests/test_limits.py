@@ -20,7 +20,7 @@ from finzeta.limits import (
     zeta_m_st_coeffs,
 )
 from finzeta.powerful import sieve_step_powerful
-from finzeta.qpoly import QSeries, series_from_poly
+from finzeta.qpoly import QSeries
 from finzeta.zeta import chain_product_counts
 
 rng = random.Random(0x11F5)
@@ -233,13 +233,13 @@ def test_numerator_series_identity():
             num[1] -= 1
             num[l * k + 1] += 1
             num[k * (l + 1)] -= 1
-            lhs = series_from_poly(num, D) * geom
+            lhs = QSeries.from_coeffs(num, D) * geom
 
             head = [0] * (l * k + 1)
             for j in range(l):
                 head[k * j] = 1
             tail = QSeries.monomial(l * k, D) * geom
-            inner = series_from_poly(head, D) + tail
-            one_minus_qk = series_from_poly([1] + [0] * (k - 1) + [-1], D)
+            inner = QSeries.from_coeffs(head, D) + tail
+            one_minus_qk = QSeries.from_coeffs([1] + [0] * (k - 1) + [-1], D)
             rhs = one_minus_qk * inner
             assert lhs.coeffs == rhs.coeffs, (k, l)

@@ -21,7 +21,6 @@ from finzeta.qpoly import (
     gfun_steps_series,
     poly_div_exact,
     qbinom,
-    series_from_poly,
 )
 
 rng = random.Random(0x9B07)
@@ -215,7 +214,7 @@ def _finite_diagonal(gamma, l, trunc):
 def test_closed_form_cc1_example():
     D = 8
     got = gfun_infinite_closed(KIND_CC1, {"c": 2}, D)
-    num = series_from_poly([1, -1, 1, -1, 1], D)
+    num = QSeries.from_coeffs([1, -1, 1, -1, 1], D)
     den = (
         QSeries.geometric(1, D) * QSeries.geometric(4, D) * QSeries.geometric(6, D)
     )
