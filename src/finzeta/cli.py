@@ -11,6 +11,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import boundary, powerful, qpoly, stats, zeta
 
 SCHEMA_VERSION = 1
@@ -152,11 +154,13 @@ def _cmd_eval(args) -> tuple[dict, int]:
         raise ValueError("--exact requires an integer s")
     results = []
     values = {}
-    for route in ("brute", "euler"):
-        if args.mode in (route, "both"):
-            fn = zeta.eval_brute if route == "brute" else zeta.eval_euler
-            values[route] = fn(args.N, args.m, s, exact=args.exact)
-            results.append({"route": route, "value": values[route]})
+    # an overflow is reported once, by main, as a non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for route in ("brute", "euler"):
+            if args.mode in (route, "both"):
+                fn = zeta.eval_brute if route == "brute" else zeta.eval_euler
+                values[route] = fn(args.N, args.m, s, exact=args.exact)
+                results.append({"route": route, "value": values[route]})
     code = 0
     if args.mode == "both":
         if args.exact:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import chain_count, divisor_chains, divisors, factorize
+from .arith import _coerce, _exponent_chains, chain_count, divisors, factorize
 from .qpoly import Signature, gfun_finite
 
 
@@ -31,16 +31,39 @@ class EulerFactorSingularity(ArithmeticError):
 _DEGENERATE_TOL = 1e-12
 
 
+@lru_cache(maxsize=1024)
+def _exponent_sum_counts(e: int, m: int) -> dict[int, int]:
+    """{t: count} over the binom(e+m, m) exponent chains
+    0 <= j_1 <= ... <= j_m <= e, keyed by t = j_1 + ... + j_m."""
+    counts: dict[int, int] = {}
+    for chain in _exponent_chains(e, m):
+        t = sum(chain)
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
 @lru_cache(maxsize=65536)
-def chain_product_counts(N: int, m: int) -> dict[int, int]:
+def chain_product_counts(N, m: int) -> dict[int, int]:
     """Multiset {chain product: count} over divisor_chains(N, m).
+
+    N is an int or a Factorization.  A chain n_1 | ... | n_m | N splits
+    prime by prime into exponent chains j_1 <= ... <= j_m <= ord_p N, and
+    its product is prod_p p^(j_1 + ... + j_m).  So each prime's exponent
+    chains are enumerated one by one and histogrammed by their sum, and the
+    primes are combined by a coprime product, whose keys cannot collide.
+    The result is still a literal count over chains, only without walking
+    the Cartesian product of the per-prime lists; it uses neither the Euler
+    product, the bounded-partition counts nor any q-binomial closed form,
+    so it stays an independent route.
 
     Every key divides N^m.  Cached; callers must not mutate the dict.
     """
-    counts: dict[int, int] = {}
-    for chain in divisor_chains(N, m):
-        v = math.prod(chain)
-        counts[v] = counts.get(v, 0) + 1
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    counts = {1: 1}
+    for p, e in _coerce(N):
+        local = [(p**t, k) for t, k in _exponent_sum_counts(e, m).items()]
+        counts = {v * pt: c * k for v, c in counts.items() for pt, k in local}
     return counts
 
 

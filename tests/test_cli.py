@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -206,17 +207,20 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered", "ignore:invalid value encountered"
-)
 def test_non_finite_result_is_an_error(capsys):
-    # Z^4_N(-10) is near N^40 = 2^1200: brute overflows to inf+nani, Euler to inf
-    code, out, err = run(
-        capsys, "eval", "-N", str(2**30), "-m", "4", "-s", "-10", "--format", "json"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "--exact" in err
+    # Z^4_N(-10) is near N^40 >= 2^1200: brute overflows to inf+nani, Euler to inf
+    for N in (2**30, 2**62):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "eval", "-N", str(N), "-m", "4", "-s", "-10", "--format", "json"
+            )
+        assert code == 2, N
+        assert out == "", N
+        assert caught == [], N
+        lines = err.splitlines()
+        assert len(lines) == 1, N
+        assert lines[0].startswith("error: ") and "--exact" in lines[0], N
 
 
 def test_thread_env_validation(capsys, monkeypatch):

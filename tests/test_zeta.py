@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,30 @@ def test_chain_product_counts():
     counts = chain_product_counts(4, 2)
     assert counts == {1: 1, 2: 1, 4: 2, 8: 1, 16: 1}
     assert sum(counts.values()) == chain_count(4, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            chain_product_counts(6, m)
+
+
+def _reference_counts(N, m):
+    return Counter(math.prod(ch) for ch in divisor_chains(N, m))
+
+
+def test_chain_product_counts_match_chain_stream():
+    for N in range(1, 301):
+        for m in range(1, 5):
+            assert chain_product_counts(N, m) == _reference_counts(N, m), (N, m)
+    for N, m in ((31752000, 2), (2**3 * 3**2 * 5 * 7 * 11, 2), (2 * 3 * 5 * 7 * 11, 3)):
+        assert chain_product_counts(N, m) == _reference_counts(N, m), (N, m)
+    fact = factorize(360)
+    assert chain_product_counts(fact, 3) == _reference_counts(360, 3)
+
+
+def test_chain_product_counts_beyond_enumeration():
+    # 7.3e9 chains: only the per-prime histogram can reach this size
+    N = 2**10 * 3**8 * 5**6 * 7**4
+    assert sum(chain_product_counts(N, 4).values()) == chain_count(N, 4) == 7283776500
+    assert eval_brute(N, 4, -1, exact=True) == eval_euler(N, 4, -1, exact=True)
 
 
 def test_euler_equals_brute_random():
