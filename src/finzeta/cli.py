@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import os
 import sys
@@ -67,16 +68,12 @@ def _report(command: str, parameters: dict, results: list, notes: list) -> dict:
 # serialization
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _json_leaf(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _human_value(v) -> str:
@@ -109,7 +106,7 @@ def _csv_cell(v) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_leaf))
         return
     if fmt == "csv":
         rows = []
@@ -166,11 +163,10 @@ def _cmd_eval(args) -> tuple[dict, int]:
         if args.exact:
             disc = abs(Fraction(values["brute"]) - Fraction(values["euler"]))
             ok = disc == 0
-            results.append({"route": "discrepancy", "value": disc})
         else:
             disc = abs(values["brute"] - values["euler"])
             ok = disc <= _EVAL_TOL * (1 + abs(values["brute"]))
-            results.append({"route": "discrepancy", "value": disc})
+        results.append({"route": "discrepancy", "value": disc})
         if not ok:
             notes.append("routes disagree beyond tolerance")
             code = 1
@@ -313,7 +309,9 @@ def _cmd_average(args) -> tuple[dict, int]:
 
 
 def _cmd_eisenstein(args) -> tuple[dict, int]:
-    series = stats.eisenstein_coeffs(args.m, args.point, args.trunc)
+    # an overflow is reported once, by main, as a non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = stats.eisenstein_coeffs(args.m, args.point, args.trunc)
     results = [{"n": n, "c": series[n]} for n in range(1, args.trunc + 1)]
     params = {"m": args.m, "s": args.point, "trunc": args.trunc}
     return _report("eisenstein", params, results, []), 0
@@ -322,6 +320,8 @@ def _cmd_eisenstein(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+# parse_args leaves the parser as it was, so one parser serves every main() call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finzeta",
@@ -421,8 +421,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         report, code = args.handler(args)

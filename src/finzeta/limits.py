@@ -140,13 +140,14 @@ def dirichlet_convolve(a: Sequence, b: Sequence) -> list:
     """(a * b)(n) = sum_{de=n} a(d) b(e) on 1-based arrays (slot 0 unused)."""
     bound = min(len(a), len(b)) - 1
     out = [0] * (bound + 1)
+    support = [(e, b[e]) for e in range(1, bound + 1) if b[e]]
     for d in range(1, bound + 1):
         ad = a[d]
         if ad:
-            for n in range(d, bound + 1, d):
-                be = b[n // d]
-                if be:
-                    out[n] += ad * be
+            for e, be in support:
+                if d * e > bound:
+                    break
+                out[d * e] += ad * be
     return out
 
 

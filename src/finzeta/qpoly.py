@@ -186,12 +186,13 @@ class QSeries:
             return QSeries(tuple(c * other for c in self.coeffs), self.trunc)
         t = self._common(other)
         out = [0] * (t + 1)
+        support = [(j, b) for j, b in enumerate(other.coeffs[: t + 1]) if b]
         for i, a in enumerate(self.coeffs[: t + 1]):
             if a:
-                for j in range(t + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+                for j, b in support:
+                    if i + j > t:
+                        break
+                    out[i + j] += a * b
         return QSeries(tuple(out), t)
 
     __rmul__ = __mul__

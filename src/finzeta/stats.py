@@ -128,7 +128,12 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    values = multiplicative_sieve(bound, local)
+    try:
+        values = multiplicative_sieve(bound, local)
+    except OverflowError as exc:
+        raise ValueError(
+            f"sigma={sigma} too large: p**(sigma*t) overflows a float for n <= {bound}"
+        ) from exc
     checkpoints = sorted({c for c in (10**4, 10**5, 10**6) if c <= bound} | {bound})
     curve = []
     total = 0

@@ -223,6 +223,117 @@ def test_non_finite_result_is_an_error(capsys):
         assert lines[0].startswith("error: ") and "--exact" in lines[0], N
 
 
+def test_eisenstein_non_finite_is_an_error(capsys):
+    # |n^(1-s)| is finite, but Im s = 1e308 overflows the exponent's product with log n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "eisenstein", "-m", "2", "--point=0.5+1e308i", "--trunc", "3"
+        )
+    assert code == 2
+    assert out == ""
+    assert caught == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_average_sigma_overflow_is_an_error(capsys):
+    code, out, err = run(
+        capsys, "average", "Z_at_sigma", "-m", "2", "--max", "1000", "--sigma", "400"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "sigma" in err
+
+
+EVAL_EXACT_JSON = """\
+{
+  "command": "eval",
+  "notes": [],
+  "parameters": {
+    "N": 4,
+    "exact": true,
+    "m": 2,
+    "mode": "both",
+    "s": 1
+  },
+  "results": [
+    {
+      "route": "brute",
+      "value": {
+        "den": "16",
+        "num": "35"
+      }
+    },
+    {
+      "route": "euler",
+      "value": {
+        "den": "16",
+        "num": "35"
+      }
+    },
+    {
+      "route": "discrepancy",
+      "value": {
+        "den": "1",
+        "num": "0"
+      }
+    }
+  ],
+  "schema_version": 1,
+  "wall_time_ms": null
+}
+"""
+
+
+def test_json_fraction_golden_text(capsys):
+    code, out, _ = run(
+        capsys, "eval", "-N", "4", "-m", "2", "-s", "1", "--exact", "--format", "json"
+    )
+    assert code == 0
+    assert out == EVAL_EXACT_JSON
+
+
+def test_json_rejects_unknown_leaf_types():
+    from finzeta.cli import _emit
+
+    with pytest.raises(TypeError):
+        _emit({"results": [{"value": object()}]}, "json")
+
+
+def test_repeated_main_calls_are_independent(capsys, monkeypatch):
+    # main() reuses one parser per process; errors in between must not leak state
+    commands = [
+        ("eval", "-N", "12", "-m", "2", "--point", "0.5+2i"),
+        ("zeros", "-N", "6", "-m", "2", "--all-candidates"),
+        ("gfun", "2,1", "--infinite", "--trunc", "10"),
+        ("powerful", "-k", "2", "-l", "2", "--max", "200"),
+        ("unitarity", "--kmax", "3", "--lmax", "2"),
+        ("average", "Z_at_sigma", "-m", "2", "--max", "1000", "--sigma", "0.5"),
+        ("eisenstein", "-m", "2", "-s", "0.5+1i", "--trunc", "8"),
+    ]
+
+    def round_of_outputs():
+        outs = []
+        for cmd in commands:
+            code, out, _ = run(capsys, *cmd, "--format", "json")
+            assert code == 0, cmd
+            outs.append(out)
+        return outs
+
+    first = round_of_outputs()
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "-N", "6", "-m", "2", "--height", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("FINZETA_THREADS", "abc")
+    assert main(["eval", "-N", "6", "-m", "1", "-s", "2"]) == 2
+    monkeypatch.delenv("FINZETA_THREADS")
+    assert main(["gfun", "3,2,2", "--infinite"]) == 2
+    capsys.readouterr()
+    assert round_of_outputs() == first
+
+
 def test_thread_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("FINZETA_THREADS", "abc")
     assert main(["eval", "-N", "6", "-m", "1", "-s", "2"]) == 2

@@ -125,6 +125,36 @@ def test_power_indicator_and_moebius_coeffs():
     assert conv[1] == 1 and all(conv[n] == 0 for n in range(2, 401))
 
 
+def _random_sequences(rnd, length):
+    """Seeded 1-based sequences (slot 0 unused): dense, sparse, signed, Fraction."""
+    return {
+        "dense": [0] + [rnd.randint(1, 9) for _ in range(length)],
+        "sparse": [0] + [int(rnd.random() < 0.1) for _ in range(length)],
+        "negative": [0] + [rnd.randint(-5, 5) for _ in range(length)],
+        "fraction": [0] + [Fraction(rnd.randint(-4, 4), rnd.randint(1, 5)) for _ in range(length)],
+    }
+
+
+def _literal_dirichlet(a, b):
+    # sum over d | n of a(d) b(n/d); a zero factor adds no term, so an empty sum is the int 0
+    bound = min(len(a), len(b)) - 1
+    return [0] + [
+        sum((a[d] * b[n // d] for d in range(1, n + 1) if n % d == 0 and a[d] and b[n // d]), 0)
+        for n in range(1, bound + 1)
+    ]
+
+
+def test_dirichlet_convolve_matches_literal_divisor_sum():
+    rnd = random.Random(0xD1C0)
+    for la, lb in ((60, 60), (60, 37), (37, 60), (0, 9)):
+        seq_a, seq_b = _random_sequences(rnd, la), _random_sequences(rnd, lb)
+        for ka, a in seq_a.items():
+            for kb, b in seq_b.items():
+                got, want = dirichlet_convolve(a, b), _literal_dirichlet(a, b)
+                assert got == want, (ka, kb, la, lb)
+                assert [type(x) for x in got] == [type(x) for x in want], (ka, kb, la, lb)
+
+
 # --- two-variable zeta coefficients -------------------------------------------
 
 def test_zeta_m_st_sigma_example():

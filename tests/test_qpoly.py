@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -267,6 +268,33 @@ def test_qseries_inverse_round_trip():
         assert prod.coeffs == QSeries.one(12).coeffs
     with pytest.raises(ArithmeticError):
         QSeries.from_coeffs([2, 1], 5).inverse()
+
+
+def _literal_cauchy(a, b, t):
+    # sum over i + j = n of a_i b_j; a zero factor adds no term, so an empty sum is the int 0
+    return [sum((a[i] * b[n - i] for i in range(n + 1) if a[i] and b[n - i]), 0) for n in range(t + 1)]
+
+
+def test_qseries_mul_matches_literal_cauchy_product():
+    rnd = random.Random(0xCA7C)
+
+    def sequences(t):
+        return {
+            "dense": [rnd.randint(1, 9) for _ in range(t + 1)],
+            "sparse": [int(rnd.random() < 0.1) for _ in range(t + 1)],
+            "negative": [rnd.randint(-5, 5) for _ in range(t + 1)],
+            "fraction": [Fraction(rnd.randint(-4, 4), rnd.randint(1, 5)) for _ in range(t + 1)],
+        }
+
+    for ta, tb in ((40, 40), (40, 23), (23, 40), (0, 5)):
+        seq_a, seq_b = sequences(ta), sequences(tb)
+        for ka, a in seq_a.items():
+            for kb, b in seq_b.items():
+                prod = QSeries(tuple(a), ta) * QSeries(tuple(b), tb)
+                want = _literal_cauchy(a, b, min(ta, tb))
+                assert prod.trunc == min(ta, tb)
+                assert list(prod.coeffs) == want, (ka, kb, ta, tb)
+                assert [type(x) for x in prod.coeffs] == [type(x) for x in want], (ka, kb)
 
 
 def test_qseries_truncation_discipline():
