@@ -115,6 +115,13 @@ class Factorization:
                 raise ValueError(f"bad factorization entry ({p}, {e})")
             last = p
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> Factorization:
+        """Skip __post_init__; for factorize, which proved every p prime."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", entries)
+        return obj
+
     @property
     def n(self) -> int:
         out = 1
@@ -139,8 +146,8 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2**63 into primes.
 
-    Trial division up to 2**16, then Miller-Rabin plus Pollard rho for what
-    remains.  Rejects n < 1 and n >= 2**63.
+    Trial division up to 2**16, then Miller-Rabin plus Pollard rho for a
+    cofactor not proved prime by it.  Rejects n < 1 and n >= 2**63.
     """
     if not isinstance(n, int):
         raise TypeError(f"expected int, got {type(n).__name__}")
@@ -156,15 +163,14 @@ def factorize(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
+        # no prime below p divides v, so v < p^2 is prime
+        if v < p * p or is_prime(v):
             out[v] = out.get(v, 0) + 1
             continue
         d = _pollard_rho(v)
         stack.append(d)
         stack.append(v // d)
-    return Factorization(tuple(sorted(out.items())))
+    return Factorization._trusted(tuple(sorted(out.items())))
 
 
 def _coerce(N) -> Factorization:

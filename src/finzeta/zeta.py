@@ -1,9 +1,10 @@
 """Finite multiple zeta values over divisor chains.
 
 Z^m_N(s) sums (n_1 ... n_m)^{-s} over all chains n_1 | n_2 | ... | n_m | N.
-Provided here: the brute Dirichlet-polynomial evaluation, the Euler-product
-evaluation, the multivariable variant Z^gamma_N(t_1..t_m), the zero set on
-the imaginary axis, and exact special values at negative integers.
+Provided here: the brute evaluation (a literal count of exponent chains per
+prime p | N) and the Euler-product evaluation (its closed q-series form), the
+multivariable variant Z^gamma_N(t_1..t_m), the zero set on the imaginary
+axis, and exact special values at negative integers.
 
 Complex powers of a positive integer v are always exp(-s ln v) with the real
 logarithm, so there is no branch ambiguity.
@@ -12,14 +13,16 @@ logarithm, so there is no branch ambiguity.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import _coerce, _exponent_chains, chain_count, divisors, factorize
+from .arith import _coerce, chain_count, divisors, factorize
 from .qpoly import Signature, gfun_finite
 
 
@@ -32,51 +35,46 @@ _DEGENERATE_TOL = 1e-12
 
 
 @lru_cache(maxsize=1024)
-def _exponent_sum_counts(e: int, m: int) -> dict[int, int]:
-    """{t: count} over the binom(e+m, m) exponent chains
-    0 <= j_1 <= ... <= j_m <= e, keyed by t = j_1 + ... + j_m."""
-    counts: dict[int, int] = {}
-    for chain in _exponent_chains(e, m):
-        t = sum(chain)
-        counts[t] = counts.get(t, 0) + 1
-    return counts
+def _exponent_sum_counts(e: int, m: int) -> tuple[int, ...]:
+    """(h(0), ..., h(e*m)): h(t) counts the exponent chains
+    0 <= j_1 <= ... <= j_m <= e with j_1 + ... + j_m = t."""
+    h = Counter(map(sum, itertools.combinations_with_replacement(range(e + 1), m)))
+    return tuple(h[t] for t in range(e * m + 1))
 
 
-@lru_cache(maxsize=65536)
 def chain_product_counts(N, m: int) -> dict[int, int]:
     """Multiset {chain product: count} over divisor_chains(N, m).
 
     N is an int or a Factorization.  A chain n_1 | ... | n_m | N splits
     prime by prime into exponent chains j_1 <= ... <= j_m <= ord_p N, and
     its product is prod_p p^(j_1 + ... + j_m).  So each prime's exponent
-    chains are enumerated one by one and histogrammed by their sum, and the
-    primes are combined by a coprime product, whose keys cannot collide.
-    The result is still a literal count over chains, only without walking
-    the Cartesian product of the per-prime lists; it uses neither the Euler
-    product, the bounded-partition counts nor any q-binomial closed form,
-    so it stays an independent route.
-
-    Every key divides N^m.  Cached; callers must not mutate the dict.
+    chains are histogrammed by their sum, and the primes are combined by a
+    coprime product, whose keys cannot collide.  Every key divides N^m.
+    With prod_p (e_p m + 1) keys it is a reference route for tests and
+    coefficient_identity_check, so it is not cached.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     counts = {1: 1}
     for p, e in _coerce(N):
-        local = [(p**t, k) for t, k in _exponent_sum_counts(e, m).items()]
+        local = [(p**t, k) for t, k in enumerate(_exponent_sum_counts(e, m))]
         counts = {v * pt: c * k for v, c in counts.items() for pt, k in local}
     return counts
 
 
-@lru_cache(maxsize=65536)
-def _log_arrays(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    items = sorted(chain_product_counts(N, m).items())
-    logs = np.log(np.array([v for v, _ in items], dtype=np.float64))
-    cnts = np.array([c for _, c in items], dtype=np.float64)
-    return logs, cnts
+@lru_cache(maxsize=4096)
+def _prime_terms(p: int, e: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t log p, h(t)) for t = 0..e*m as float arrays."""
+    h = np.array(_exponent_sum_counts(e, m), dtype=np.float64)
+    return np.arange(len(h)) * math.log(p), h
 
 
 def eval_brute(N: int, m: int, s, exact: bool = False):
     """Z^m_N(s) by direct summation over divisor chains.
+
+    By distributivity the chain sum is prod_p sum_t h(t) p^{-st}, with h the
+    literal exponent-chain histogram _exponent_sum_counts(e_p, m); float
+    monomials are exp(-s t log p).
 
     exact=True needs integer s and returns an int (s <= 0) or Fraction
     (s > 0); otherwise returns complex.
@@ -86,15 +84,21 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     if exact:
         if isinstance(s, bool) or not isinstance(s, int):
             raise TypeError("exact evaluation requires an integer s")
-        counts = chain_product_counts(N, m)
-        if s <= 0:
-            return sum(c * v ** (-s) for v, c in counts.items())
-        top = N**m
-        scaled = sum(c * (top // v) ** s for v, c in counts.items())
-        return Fraction(scaled, top**s)
-    logs, cnts = _log_arrays(N, m)
+        value = 1
+        for p, e in factorize(N):
+            # Horner in x = p^|s|: sum_t h(t) x^t for s <= 0; for s > 0 the
+            # numerator sum_t h(t) x^(e m - t) of the factor over p^(s e m)
+            h, x, acc = _exponent_sum_counts(e, m), p ** abs(s), 0
+            for k in h if s > 0 else reversed(h):
+                acc = acc * x + k
+            value *= acc
+        return value if s <= 0 else Fraction(value, N ** (m * s))
     z = complex(s)
-    return complex(np.sum(cnts * np.exp(-z * logs)))
+    value = complex(1.0)
+    for p, e in factorize(N):
+        tlog, h = _prime_terms(p, e, m)
+        value *= complex(np.dot(h, np.exp(-z * tlog)))
+    return value
 
 
 def eval_euler(N: int, m: int, s, exact: bool = False):
@@ -302,17 +306,23 @@ def predicted_zeros(
 def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
     """min |Z^m_N(sigma + it)| over the rectangular grid sigmas x ts.
 
-    Separates v^{-sigma-it} into a real amplitude matrix and an oscillatory
-    matrix, so the whole grid is two matrix products per chunk of t values.
+    Each per-prime factor of eval_brute separates into a real amplitude
+    matrix and an oscillatory one, so the grid is one matrix product per
+    prime and per chunk of ts values; chunk bounds the memory held.
     """
-    logs, cnts = _log_arrays(N, m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     sig = np.asarray(sigmas, dtype=np.float64)
     tvals = np.asarray(ts, dtype=np.float64)
-    amp = cnts[None, :] * np.exp(-np.outer(sig, logs))
+    terms = [_prime_terms(p, e, m) for p, e in factorize(N)]
+    amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
     best = math.inf
     for i in range(0, len(tvals), chunk):
-        osc = np.exp(-1j * np.outer(logs, tvals[i : i + chunk]))
-        best = min(best, float(np.abs(amp @ osc).min()))
+        cols = tvals[i : i + chunk]
+        grid = np.ones((len(sig), len(cols)), dtype=np.complex128)
+        for tlog, amp in amps:
+            grid *= amp @ np.exp(-1j * np.outer(tlog, cols))
+        best = min(best, float(np.abs(grid).min()))
     return best
 
 

@@ -83,6 +83,28 @@ def test_factorize_large_inputs():
     assert prod == n
 
 
+def test_factorize_cofactors_around_the_trial_bound():
+    # 65521 is the last trial prime; a cofactor below 65521^2 is prime
+    # without Miller-Rabin, one above it goes to Miller-Rabin and rho
+    cases = {
+        65521 * 65537: ((65521, 1), (65537, 1)),
+        65521**2 * 65537: ((65521, 2), (65537, 1)),
+        2**40 * 65537: ((2, 40), (65537, 1)),
+        65537**2: ((65537, 2),),
+        65537 * 65539: ((65537, 1), (65539, 1)),
+        3 * 65521 * 65537 * 65539: ((3, 1), (65521, 1), (65537, 1), (65539, 1)),
+    }
+    for n, want in cases.items():
+        assert factorize(n).entries == want, n
+
+
+def test_factorization_validates_user_entries():
+    for bad in (((4, 1),), ((3, 1), (2, 1)), ((2, 0),), ((2, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            Factorization(bad)
+    assert Factorization(((2, 3), (5, 1))) == factorize(40)
+
+
 def test_factorization_accessors():
     f = factorize(360)
     assert f.n == 360

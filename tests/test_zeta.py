@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from finzeta.arith import chain_count, divisor_chains, factorize
+from finzeta.arith import _exponent_chains, chain_count, divisor_chains, factorize, primes
 from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
+    _exponent_sum_counts,
     chain_product_counts,
     circle_order_estimate,
     eval_brute,
@@ -76,6 +77,75 @@ def test_chain_product_counts_beyond_enumeration():
     N = 2**10 * 3**8 * 5**6 * 7**4
     assert sum(chain_product_counts(N, 4).values()) == chain_count(N, 4) == 7283776500
     assert eval_brute(N, 4, -1, exact=True) == eval_euler(N, 4, -1, exact=True)
+
+
+SMOOTH = ((31752000, 2), (2**3 * 3**2 * 5 * 7 * 11, 2), (2 * 3 * 5 * 7 * 11, 3))
+
+
+def _flat_cases():
+    yield from ((N, m) for N in range(1, 301) for m in range(1, 5))
+    yield from SMOOTH
+
+
+def test_exponent_sum_counts_match_chain_stream():
+    for e in range(13):
+        for m in range(1, 6):
+            want = Counter(sum(ch) for ch in _exponent_chains(e, m))
+            assert dict(enumerate(_exponent_sum_counts(e, m))) == want, (e, m)
+
+
+def test_eval_brute_exact_matches_flat_histogram():
+    # the per-prime product against a sum over every distinct chain product
+    for N, m in _flat_cases():
+        counts = chain_product_counts(N, m)
+        for s in range(-2, 3):
+            if s <= 0:
+                want = sum(c * v ** (-s) for v, c in counts.items())
+            else:
+                want = sum(Fraction(c, v**s) for v, c in counts.items())
+            assert eval_brute(N, m, s, exact=True) == want, (N, m, s)
+
+
+def test_eval_brute_float_matches_flat_histogram():
+    local = random.Random(0xF1A7)
+    for N, m in _flat_cases():
+        counts = chain_product_counts(N, m)
+        s = complex(local.uniform(-3, 3), local.uniform(-10, 10))
+        want = sum(c * cmath.exp(-s * math.log(v)) for v, c in counts.items())
+        scale = sum(c * v ** (-s.real) for v, c in counts.items())
+        assert abs(eval_brute(N, m, s) - want) <= 1e-13 * scale, (N, m, s)
+
+
+def test_brute_exact_at_the_15_primorial():
+    # 4^15 ~ 1.1e9 distinct chain products: out of reach of the flat histogram
+    N = math.prod(primes(47))
+    assert N == 614889782588491410
+    for s in (1, -1):
+        assert eval_brute(N, 3, s, exact=True) == eval_euler(N, 3, s, exact=True), s
+
+
+def test_brute_float_at_large_prime_powers():
+    # 7.3e9 chains over 5.8e5 distinct products
+    N = 2**10 * 3**8 * 5**6 * 7**4
+    local = random.Random(0xB16)
+    s = complex(local.uniform(0, 2), local.uniform(-10, 10))
+    b = eval_brute(N, 4, s)
+    assert abs(b - eval_euler(N, 4, s)) <= 1e-10 * abs(b), s
+
+
+def test_grid_min_abs_matches_flat_histogram():
+    sigmas = np.linspace(-0.5, 1.5, 9)
+    ts = np.linspace(0.0, 25.0, 301)
+    for N in (2, 6, 12, 72):
+        for m in (1, 2, 3):
+            counts = chain_product_counts(N, m)
+            logs = np.log(np.array(list(counts), dtype=np.float64))
+            cnts = np.array(list(counts.values()), dtype=np.float64)
+            z = sigmas[:, None] + 1j * ts[None, :]
+            vals = np.exp(-z[..., None] * logs) @ cnts
+            scale = float((np.exp(-np.outer(sigmas, logs)) @ cnts).max())
+            got = grid_min_abs(N, m, sigmas, ts, chunk=64)
+            assert abs(got - np.abs(vals).min()) <= 1e-12 * scale, (N, m)
 
 
 def test_euler_equals_brute_random():
