@@ -167,9 +167,18 @@ def factorize(n: int) -> Factorization:
         if v < p * p or is_prime(v):
             out[v] = out.get(v, 0) + 1
             continue
+        # v < 2**63 has no prime factor below 2**16, so it is pq, p^2, pqr,
+        # p^2 q or p^3; split the pure powers without rho
+        r = math.isqrt(v)
+        if r * r == v:
+            stack += [r, r]
+            continue
+        c = round(v ** (1 / 3))
+        if c**3 == v:
+            stack += [c, c, c]
+            continue
         d = _pollard_rho(v)
-        stack.append(d)
-        stack.append(v // d)
+        stack += [d, v // d]
     return Factorization._trusted(tuple(sorted(out.items())))
 
 
@@ -279,16 +288,19 @@ def spf_sieve(limit: int) -> list[int]:
             block[block == 0] = p
     idx = np.flatnonzero(spf == 0)
     spf[idx] = idx
-    spf[1] = 1
+    spf[1:2] = 1
     return spf.tolist()
 
 
-def multiplicative_sieve(limit: int, local: Callable[[int, int], object], one=1) -> list:
-    """Values of the multiplicative function with prime-power data local(p, e)
-    for all n in 0..limit (index 0 set to `one` and unused)."""
+def _sieve_scalar(limit: int, local: Callable[[int, int], object], one=1, known=None) -> list:
+    """Reference sieve: vals[n] = vals[n / p^e] * local(p, e), p = spf(n).
+
+    known maps (p, e) to local(p, e) for pairs already evaluated; local is
+    called once for every other pair.
+    """
     spf = spf_sieve(limit)
     vals = [one] * (limit + 1)
-    cache_pe: dict[tuple[int, int], object] = {}
+    cache_pe: dict[tuple[int, int], object] = {} if known is None else known
     for n in range(2, limit + 1):
         p = spf[n]
         m = n // p
@@ -303,3 +315,83 @@ def multiplicative_sieve(limit: int, local: Callable[[int, int], object], one=1)
             cache_pe[key] = loc
         vals[n] = vals[m] * loc
     return vals
+
+
+def multiplicative_sieve(limit: int, local: Callable[[int, int], object], one=1) -> list:
+    """Values of the multiplicative function with prime-power data local(p, e)
+    for all n in 0..limit (indices 0 and 1 hold `one`; 0 is unused).
+
+    local is called once for every prime power p^e <= limit.  With the
+    default one = 1 the values come from numpy passes when every local value
+    is a float (float64), or an int (not bool) and no product of them can
+    reach 2**63 (int64).  Other values (Fraction, mixed types, a custom one,
+    a possible int64 overflow) take the scalar loop.  Either way vals[n] is
+    bit for bit and type for type the scalar product
+    (...(one * local(p_k, e_k)) * ...) * local(p_1, e_1), p_1 < ... < p_k.
+    """
+    if limit < 2 or type(one) is not int or one != 1:
+        return _sieve_scalar(limit, local, one)
+    import numpy as np
+
+    small = primes(math.isqrt(limit))
+    # divide every small prime out; what stays above 1 is n's only prime
+    # factor above sqrt(limit)
+    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in small:
+        q = p
+        while q <= limit:
+            rest[q::q] //= p
+            q *= p
+    big = np.flatnonzero(rest == np.arange(limit + 1))[2:].tolist()
+    small_vals = {
+        p: [local(p, e) for e in range(1, limit.bit_length()) if p**e <= limit] for p in small
+    }
+    big_vals = [local(P, 1) for P in big]
+    kinds = set(map(type, big_vals)).union(*(map(type, v) for v in small_vals.values()))
+    if kinds == {float}:
+        dtype = np.float64
+    elif kinds == {int} and _int64_safe(limit, small_vals, big_vals):
+        dtype = np.int64
+    else:
+        known = {(p, e): v for p, vs in small_vals.items() for e, v in enumerate(vs, 1)}
+        known.update(zip(((P, 1) for P in big), big_vals))
+        return _sieve_scalar(limit, local, one, known)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # innermost factor first, as in the scalar loop: the large prime,
+        # then the small primes in descending order
+        table = np.ones(limit + 1, dtype=dtype)
+        table[big] = big_vals
+        vals = table[rest]
+        for p in reversed(small):
+            first, *higher = small_vals[p]
+            mult = np.full(limit // p, first, dtype=dtype)
+            # slot j holds n = p*(j+1); exactly p^e | n for the last e that hits it
+            for e, v in enumerate(higher, 2):
+                step = p ** (e - 1)
+                mult[step - 1 :: step] = v
+            vals[p::p] *= mult
+    out = vals.tolist()
+    out[0] = out[1] = one
+    return out
+
+
+def _int64_safe(limit: int, small_vals: dict, big_vals: list) -> bool:
+    """True if no product of local values over n <= limit can reach 2**63.
+
+    n has at most k distinct primes, k the largest with p_1 ... p_k <= limit,
+    and at most one of them above sqrt(limit).  So with M the largest
+    max(|local(p, e)|, 1) per prime, every partial product is bounded by the
+    k - 1 largest small-prime M times the larger of the k-th one and the
+    largest large-prime M.
+    """
+    k, prod = 0, 1
+    for p in _small_primes():
+        if prod * p > limit:
+            break
+        prod *= p
+        k += 1
+    per_small = (max(max(map(abs, vs)), 1) for vs in small_vals.values())
+    top = sorted(per_small, reverse=True)[:k] + [1] * k
+    big = max(map(abs, big_vals), default=1)
+    return math.prod(top[: k - 1]) * max(top[k - 1], big) < 1 << 63

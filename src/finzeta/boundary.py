@@ -10,6 +10,7 @@ circle pins the natural boundary Re s = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,9 +98,14 @@ class UnitarityVerdict:
     conclusion: str
 
 
+@lru_cache(maxsize=1024)
 def classify(k: int, l: int) -> UnitarityVerdict:
     """Unitarity verdict on G_{k,l} and the resulting continuation statement
-    for the step-powerful Dirichlet series."""
+    for the step-powerful Dirichlet series.
+
+    Cached: a repeated (k, l) in one process returns the same frozen verdict
+    instead of solving for the roots again.
+    """
     roots = poly_roots(build_G(k, l))
     off = [abs(abs(r) - 1.0) for r in roots]
     unitary = max(off) <= UNIT_TOL

@@ -139,7 +139,7 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
     total = 0
     last = 1
     for cp in checkpoints:
-        total += sum(values[n] for n in range(last, cp + 1))
+        total += sum(values[last : cp + 1])
         last = cp + 1
         curve.append((cp, total / (cp**beta * math.log(cp) ** alpha)))
     empirical = curve[-1][1]

@@ -273,22 +273,24 @@ def predicted_zeros(
     out: list[ZeroLocation] = []
     for p, e in factorize(N):
         lp = math.log(p)
-        ratios: set[Fraction] = set()
+        # each ratio n/(e+k) in lowest terms (num, den); num / den rounds
+        # exactly as float(Fraction(num, den)) does
+        ratios: set[tuple[int, int]] = set()
         for k in range(1, m + 1):
             n_max = int(height * (e + k) * lp / (2 * math.pi))
             for n in range(1, n_max + 1):
-                ratios.add(Fraction(n, e + k))
-        for r in ratios:
-            t = 2 * math.pi * float(r) / lp
+                g = math.gcd(n, e + k)
+                ratios.add((n // g, (e + k) // g))
+        for num, den in ratios:
+            t = 2 * math.pi * (num / den) / lp
             if t > height:
                 continue
-            den = r.denominator
             up, down = _order_counts(e, m, den)
             order = up - down
             if order < 1 and not include_order_zero:
                 continue
             k_rep = next(l for l in range(1, m + 1) if (e + l) % den == 0)
-            n_rep = int(r * (e + k_rep))
+            n_rep = num * (e + k_rep) // den
             for sign in (1, -1):
                 out.append(
                     ZeroLocation(
@@ -314,6 +316,9 @@ def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
         raise ValueError("m must be >= 1")
     sig = np.asarray(sigmas, dtype=np.float64)
     tvals = np.asarray(ts, dtype=np.float64)
+    for name, arr in (("sigmas", sig), ("ts", tvals)):
+        if arr.size == 0:
+            raise ValueError(f"grid_min_abs needs a nonempty {name}")
     terms = [_prime_terms(p, e, m) for p, e in factorize(N)]
     amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
     best = math.inf

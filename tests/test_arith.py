@@ -1,9 +1,12 @@
 import math
 import random
+import struct
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from finzeta import arith
 from finzeta.arith import (
     Factorization,
     bounded_partition_count,
@@ -96,6 +99,29 @@ def test_factorize_cofactors_around_the_trial_bound():
     }
     for n, want in cases.items():
         assert factorize(n).entries == want, n
+
+
+def test_factorize_splits_pure_powers_without_rho(monkeypatch):
+    # p^3 < 2**63 for p = 2097143, the largest prime below 2**21
+    big = max(p for p in range(2**21 - 100, 2**21) if is_prime(p))
+    assert big == 2097143
+    calls = []
+    rho = arith._pollard_rho
+
+    def counting(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counting)
+    for p in (65537, 65539, big):
+        for e in (2, 3):
+            # the undecorated function, so no cached result hides the work
+            assert factorize.__wrapped__(p**e).entries == ((p, e),), (p, e)
+    assert calls == []
+    for p, q in ((65537, 65539), (65539, 65537), (big, 65537), (65537, big)):
+        want = tuple(sorted(((p, 2), (q, 1))))
+        assert factorize.__wrapped__(p * p * q).entries == want, (p, q)
+    assert calls
 
 
 def test_factorization_validates_user_entries():
@@ -224,3 +250,98 @@ def test_multiplicative_sieve_custom_one():
     vals = multiplicative_sieve(50, lambda p, e: Fraction(1, p**e), one=Fraction(1))
     assert vals[12] == Fraction(1, 12)
     assert vals[1] == Fraction(1)
+
+
+def _z_at_sigma_local(m, sig):
+    # the float local of stats.average_experiment("Z_at_sigma")
+    def local(p, e):
+        x = p**sig
+        return sum(bounded_partition_count(t, e, m) * x**t for t in range(e * m + 1))
+
+    return local
+
+
+def _exact_items(vals):
+    # type and exact bits of every entry, so -0.0, nan and inf compare too
+    return [(type(v), struct.pack("<d", v) if type(v) is float else v) for v in vals]
+
+
+SIEVE_LIMITS = (0, 1, 2, 3, 4, 48, 49, 50, 1000, 9973)
+
+
+def _numpy_sieve(monkeypatch, limit, local):
+    """multiplicative_sieve with the scalar helper forbidden from limit 2 on."""
+    scalar = arith._sieve_scalar
+
+    def forbidden(limit, *args, **kwargs):
+        assert limit < 2, "the numpy passes should have run"
+        return scalar(limit, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(arith, "_sieve_scalar", forbidden)
+        return multiplicative_sieve(limit, local)
+
+
+def test_sieve_numpy_float_matches_scalar_bitwise(monkeypatch):
+    for m in (1, 2, 3):
+        for sig in (0.25, 0.7, 1.5):
+            local = _z_at_sigma_local(m, sig)
+            for limit in SIEVE_LIMITS:
+                got = _numpy_sieve(monkeypatch, limit, local)
+                want = arith._sieve_scalar(limit, local)
+                assert _exact_items(got) == _exact_items(want), (m, sig, limit)
+
+
+def test_sieve_numpy_int_matches_scalar(monkeypatch):
+    locals_ = [lambda p, e: 1 if e >= 2 else 0, lambda p, e: (-1) ** e * p]
+    for m in (1, 2, 3):
+        locals_.append(lambda p, e, m=m: bounded_partition_count(e, m))
+        locals_.append(lambda p, e, m=m: math.comb(e + m, m))
+    for local in locals_:
+        for limit in SIEVE_LIMITS:
+            got = _numpy_sieve(monkeypatch, limit, local)
+            want = arith._sieve_scalar(limit, local)
+            assert _exact_items(got) == _exact_items(want), limit
+
+
+def test_sieve_scalar_cases_match_scalar():
+    # Fraction values, a custom one, mixed int/float and bool values
+    cases = [
+        (lambda p, e: Fraction(1, p**e), Fraction(1)),
+        (lambda p, e: Fraction(e, p), 1),
+        (lambda p, e: 0.5 * e, Fraction(1)),
+        (lambda p, e: 2 if p == 2 else 1.5, 1),
+        (lambda p, e: e > 1, 1),
+    ]
+    for local, one in cases:
+        for limit in SIEVE_LIMITS:
+            got = multiplicative_sieve(limit, local, one=one)
+            want = arith._sieve_scalar(limit, local, one)
+            assert _exact_items(got) == _exact_items(want), limit
+
+
+def test_sieve_calls_local_once_per_prime_power():
+    for limit in (1, 2, 50, 1000):
+        for local in (lambda p, e: 1.5, lambda p, e: e, lambda p, e: Fraction(e)):
+            seen = []
+            multiplicative_sieve(limit, lambda p, e: seen.append((p, e)) or local(p, e))
+            want = {(p, e) for p in primes(limit) for e in range(1, 20) if p**e <= limit}
+            assert len(seen) == len(set(seen)) and set(seen) == want, limit
+
+
+def test_sieve_int64_overflow_takes_the_scalar_route():
+    # single values far above 2**63, and values that fit alone but whose
+    # products overflow int64
+    for local in (lambda p, e: p ** (7 * e), lambda p, e: 10**9 + p):
+        got = multiplicative_sieve(10**4, local)
+        want = arith._sieve_scalar(10**4, local)
+        assert _exact_items(got) == _exact_items(want)
+    assert got[2 * 3 * 5] == (10**9 + 2) * (10**9 + 3) * (10**9 + 5)
+
+
+def test_sieve_float_overflow_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = multiplicative_sieve(100, lambda p, e: 1e200)
+    assert got[6] == math.inf and got[5] == 1e200 and got[1] == 1
+    assert _exact_items(got) == _exact_items(arith._sieve_scalar(100, lambda p, e: 1e200))

@@ -161,6 +161,13 @@ def test_classify_proposition_sweep():
                 assert abs(abs(v.witness) - 1) > UNIT_TOL
 
 
+def test_classify_is_cached_and_errors_are_not():
+    assert classify(3, 2) is classify(3, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            classify(0, 1)
+
+
 def test_on_circle_roots_satisfy_root_of_unity_dichotomy():
     # on-circle roots of G for k >= 3 are k-th or (k-2)-th roots of unity
     for k in range(3, 9):

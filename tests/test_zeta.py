@@ -12,6 +12,7 @@ from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
     _exponent_sum_counts,
+    _order_counts,
     chain_product_counts,
     circle_order_estimate,
     eval_brute,
@@ -146,6 +147,13 @@ def test_grid_min_abs_matches_flat_histogram():
             scale = float((np.exp(-np.outer(sigmas, logs)) @ cnts).max())
             got = grid_min_abs(N, m, sigmas, ts, chunk=64)
             assert abs(got - np.abs(vals).min()) <= 1e-12 * scale, (N, m)
+
+
+def test_grid_min_abs_rejects_empty_axes():
+    with pytest.raises(ValueError, match=r"\bsigmas\b"):
+        grid_min_abs(6, 2, [], [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"\bts\b"):
+        grid_min_abs(6, 2, [0.5], np.array([]))
 
 
 def test_euler_equals_brute_random():
@@ -287,6 +295,36 @@ def test_predicted_zeros_candidate_view():
     assert loc.multiplicity == 0
     val = eval_brute(2, 2, loc.s)
     assert abs(val - 3.0) < 1e-12
+
+
+def _predicted_zeros_by_fractions(N, m, height, include_order_zero):
+    # candidate ratios n/(e+k) keyed as Fractions
+    out = []
+    for p, e in factorize(N):
+        lp = math.log(p)
+        ratios = {
+            Fraction(n, e + k)
+            for k in range(1, m + 1)
+            for n in range(1, int(height * (e + k) * lp / (2 * math.pi)) + 1)
+        }
+        for r in ratios:
+            t = 2 * math.pi * float(r) / lp
+            up, down = _order_counts(e, m, r.denominator)
+            if t > height or (up - down < 1 and not include_order_zero):
+                continue
+            k = next(l for l in range(1, m + 1) if (e + l) % r.denominator == 0)
+            n = int(r * (e + k))
+            for sign in (1, -1):
+                out.append(ZeroLocation(p, k, sign * n, complex(0.0, sign * t), up - down, up))
+    return sorted(out, key=lambda z: (z.s.imag, z.p))
+
+
+def test_predicted_zeros_match_fraction_keyed_reference():
+    for N in (2, 6, 12, 72, 360, 1728):
+        for m in (1, 2, 3, 4):
+            for include in (False, True):
+                got = predicted_zeros(N, m, 40.0, include_order_zero=include)
+                assert got == _predicted_zeros_by_fractions(N, m, 40.0, include), (N, m)
 
 
 def test_predicted_zeros_sorted_and_deduplicated():
