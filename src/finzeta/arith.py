@@ -19,6 +19,9 @@ MAX_INPUT = 1 << 63
 
 _TRIAL_BOUND = 1 << 16
 
+# every int of smaller magnitude is exact in float64
+_FLOAT_EXACT = 1 << 53
+
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -322,11 +325,13 @@ def multiplicative_sieve(limit: int, local: Callable[[int, int], object], one=1)
     for all n in 0..limit (indices 0 and 1 hold `one`; 0 is unused).
 
     local is called once for every prime power p^e <= limit.  With the
-    default one = 1 the values come from numpy passes when every local value
-    is a float (float64), or an int (not bool) and no product of them can
-    reach 2**63 (int64).  Other values (Fraction, mixed types, a custom one,
-    a possible int64 overflow) take the scalar loop.  Either way vals[n] is
-    bit for bit and type for type the scalar product
+    default one = 1 the values come from float64 numpy passes when every
+    local value is a float, or an int (not bool) below 2**53 in magnitude
+    whose products all stay below 2**53: float64 holds those ints exactly,
+    a product of nonzero ints is at least as large as each partial product,
+    and a zero factor makes it exactly 0.  Other values (Fraction, mixed
+    types, a custom one, larger ints) take the scalar loop.  Either way
+    vals[n] is bit for bit and type for type the scalar product
     (...(one * local(p_k, e_k)) * ...) * local(p_1, e_1), p_1 < ... < p_k.
     """
     if limit < 2 or type(one) is not int or one != 1:
@@ -347,51 +352,29 @@ def multiplicative_sieve(limit: int, local: Callable[[int, int], object], one=1)
         p: [local(p, e) for e in range(1, limit.bit_length()) if p**e <= limit] for p in small
     }
     big_vals = [local(P, 1) for P in big]
-    kinds = set(map(type, big_vals)).union(*(map(type, v) for v in small_vals.values()))
-    if kinds == {float}:
-        dtype = np.float64
-    elif kinds == {int} and _int64_safe(limit, small_vals, big_vals):
-        dtype = np.int64
-    else:
-        known = {(p, e): v for p, vs in small_vals.items() for e, v in enumerate(vs, 1)}
-        known.update(zip(((P, 1) for P in big), big_vals))
-        return _sieve_scalar(limit, local, one, known)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        # innermost factor first, as in the scalar loop: the large prime,
-        # then the small primes in descending order
-        table = np.ones(limit + 1, dtype=dtype)
-        table[big] = big_vals
-        vals = table[rest]
-        for p in reversed(small):
-            first, *higher = small_vals[p]
-            mult = np.full(limit // p, first, dtype=dtype)
-            # slot j holds n = p*(j+1); exactly p^e | n for the last e that hits it
-            for e, v in enumerate(higher, 2):
-                step = p ** (e - 1)
-                mult[step - 1 :: step] = v
-            vals[p::p] *= mult
-    out = vals.tolist()
-    out[0] = out[1] = one
-    return out
-
-
-def _int64_safe(limit: int, small_vals: dict, big_vals: list) -> bool:
-    """True if no product of local values over n <= limit can reach 2**63.
-
-    n has at most k distinct primes, k the largest with p_1 ... p_k <= limit,
-    and at most one of them above sqrt(limit).  So with M the largest
-    max(|local(p, e)|, 1) per prime, every partial product is bounded by the
-    k - 1 largest small-prime M times the larger of the k-th one and the
-    largest large-prime M.
-    """
-    k, prod = 0, 1
-    for p in _small_primes():
-        if prod * p > limit:
-            break
-        prod *= p
-        k += 1
-    per_small = (max(max(map(abs, vs)), 1) for vs in small_vals.values())
-    top = sorted(per_small, reverse=True)[:k] + [1] * k
-    big = max(map(abs, big_vals), default=1)
-    return math.prod(top[: k - 1]) * max(top[k - 1], big) < 1 << 63
+    every = [*big_vals, *itertools.chain.from_iterable(small_vals.values())]
+    kinds = set(map(type, every))
+    exact = kinds == {int} and max(map(abs, every)) < _FLOAT_EXACT
+    if kinds == {float} or exact:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # innermost factor first, as in the scalar loop: the large prime,
+            # then the small primes in descending order
+            table = np.ones(limit + 1)
+            table[big] = big_vals
+            vals = table[rest]
+            for p in reversed(small):
+                first, *higher = small_vals[p]
+                mult = np.full(limit // p, first, dtype=np.float64)
+                # slot j holds n = p*(j+1); exactly p^e | n for the last e that hits it
+                for e, v in enumerate(higher, 2):
+                    step = p ** (e - 1)
+                    mult[step - 1 :: step] = v
+                vals[p::p] *= mult
+        # the final magnitude bounds every partial product; nan (inf * 0) fails
+        if not exact or (np.abs(vals) < _FLOAT_EXACT).all():
+            out = (vals.astype(np.int64) if exact else vals).tolist()
+            out[0] = out[1] = one
+            return out
+    known = {(p, e): v for p, vs in small_vals.items() for e, v in enumerate(vs, 1)}
+    known.update(zip(((P, 1) for P in big), big_vals))
+    return _sieve_scalar(limit, local, one, known)

@@ -151,13 +151,11 @@ def _cmd_eval(args) -> tuple[dict, int]:
         raise ValueError("--exact requires an integer s")
     results = []
     values = {}
-    # an overflow is reported once, by main, as a non-finite result
-    with np.errstate(over="ignore", invalid="ignore"):
-        for route in ("brute", "euler"):
-            if args.mode in (route, "both"):
-                fn = zeta.eval_brute if route == "brute" else zeta.eval_euler
-                values[route] = fn(args.N, args.m, s, exact=args.exact)
-                results.append({"route": route, "value": values[route]})
+    for route in ("brute", "euler"):
+        if args.mode in (route, "both"):
+            fn = zeta.eval_brute if route == "brute" else zeta.eval_euler
+            values[route] = fn(args.N, args.m, s, exact=args.exact)
+            results.append({"route": route, "value": values[route]})
     code = 0
     if args.mode == "both":
         if args.exact:
@@ -203,31 +201,11 @@ def _cmd_zeros(args) -> tuple[dict, int]:
     return _report("zeros", params, results, notes), 0
 
 
-_CLOSED_FORM_HINT = (
-    "closed forms exist for signatures (c,1), (c,c,1), (cd,c,1) and"
-    " (k,...,k,1)"
-)
-
-
-def _infinite_kind(gamma: tuple[int, ...]) -> tuple[str, dict]:
-    if len(gamma) >= 2 and gamma[-1] == 1:
-        body = gamma[:-1]
-        if len(body) == 1:
-            return qpoly.KIND_C1, {"c": body[0]}
-        if len(set(body)) == 1:
-            if len(body) == 2:
-                return qpoly.KIND_CC1, {"c": body[0]}
-            return qpoly.KIND_STEPS, {"k": body[0], "l": len(body)}
-        if len(body) == 2 and body[0] % body[1] == 0:
-            return qpoly.KIND_CDC1, {"c": body[1], "d": body[0] // body[1]}
-    raise ValueError(f"no closed form for signature {gamma}; {_CLOSED_FORM_HINT}")
-
-
 def _cmd_gfun(args) -> tuple[dict, int]:
     gamma = args.gamma
     notes = []
     if args.infinite:
-        kind, kparams = _infinite_kind(gamma)
+        kind, kparams = qpoly.closed_form_kind(gamma)
         series = qpoly.gfun_infinite_closed(kind, kparams, args.trunc)
         results = [
             {"order": i, "coeff": c} for i, c in enumerate(series.coeffs)
@@ -309,9 +287,7 @@ def _cmd_average(args) -> tuple[dict, int]:
 
 
 def _cmd_eisenstein(args) -> tuple[dict, int]:
-    # an overflow is reported once, by main, as a non-finite result
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = stats.eisenstein_coeffs(args.m, args.point, args.trunc)
+    series = stats.eisenstein_coeffs(args.m, args.point, args.trunc)
     results = [{"n": n, "c": series[n]} for n in range(1, args.trunc + 1)]
     params = {"m": args.m, "s": args.point, "trunc": args.trunc}
     return _report("eisenstein", params, results, []), 0
@@ -424,7 +400,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = args.handler(args)
+        # an overflow is reported once, below, as a non-finite result
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, code = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

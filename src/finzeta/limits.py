@@ -176,8 +176,8 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
 
     lhs[n] = Z^m_n(s) summed over divisor chains of n, exact (eval_brute).
     rhs[n] = sum over n_0 n_1 ... n_m = n of prod_k n_k^{-sk}, by convolving
-    the m+1 factor sequences.  Positive s is handled by rescaling with n^{sm}
-    so every intermediate stays an integer.
+    the m+1 factor sequences at -|s|, so every intermediate stays an integer;
+    for positive s the result is divided by n^{sm}.
     """
     if m < 1 or bound < 1:
         raise ValueError("need m >= 1 and bound >= 1")
@@ -186,20 +186,14 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
 
     lhs = [0] + [eval_brute(n, m, s, exact=True) for n in range(1, bound + 1)]
 
-    if s <= 0:
-        conv = [0] + [1] * bound
-        for k in range(1, m + 1):
-            factor = [0] + [j ** (-s * k) for j in range(1, bound + 1)]
-            conv = dirichlet_convolve(conv, factor)
-        rhs = conv
-    else:
-        conv = [0] + [1] * bound
-        for k in range(0, m):
-            factor = [0] + [j ** (s * (m - k)) for j in range(1, bound + 1)]
-            conv = dirichlet_convolve(conv, factor)
-        rhs = [0] + [
-            Fraction(conv[n], n ** (s * m)) for n in range(1, bound + 1)
-        ]
+    conv = [0] + [1] * bound
+    for k in range(1, m + 1):
+        factor = [0] + [j ** (abs(s) * k) for j in range(1, bound + 1)]
+        conv = dirichlet_convolve(conv, factor)
+    rhs = conv
+    if s > 0:
+        # conv holds the coefficients at -s, which are n^{sm} times these
+        rhs = [0] + [Fraction(conv[n], n ** (s * m)) for n in range(1, bound + 1)]
 
     return CoeffPair(
         DirichletCoeffs(bound, tuple(lhs)), DirichletCoeffs(bound, tuple(rhs))

@@ -490,6 +490,24 @@ def gfun_recurrence(gamma, l: int) -> MultiQPoly:
 # closed forms of the infinite limits
 
 
+def _rational_series(
+    num_terms: Iterable[tuple[int, int]], den_exponents: Sequence[int], trunc: int
+) -> QSeries:
+    """(sum of c q^e over the (e, c) in num_terms) / prod_a (1 - q^a) over a
+    in den_exponents, truncated at order trunc."""
+    if any(a < 1 for a in den_exponents):
+        raise ValueError("geometric step must be >= 1")
+    out = [0] * (trunc + 1)
+    for e, c in num_terms:
+        if e <= trunc:
+            out[e] += c
+    # dividing by 1 - q^a is the running sum out[i] += out[i - a]
+    for a in den_exponents:
+        for i in range(a, trunc + 1):
+            out[i] += out[i - a]
+    return QSeries(tuple(out), trunc)
+
+
 def gfun_c1_series(c: int, trunc: int, powers: tuple[int, int] = (1, 1)) -> QSeries:
     """Closed form of lim_l G^{(c,1)}_l, specialized by q_1 -> q^a, q_2 -> q^b.
 
@@ -499,18 +517,8 @@ def gfun_c1_series(c: int, trunc: int, powers: tuple[int, int] = (1, 1)) -> QSer
         raise ValueError("c must be >= 1")
     _check_trunc(trunc)
     a, b = powers
-    num = (
-        QSeries.one(trunc)
-        - QSeries.monomial(b, trunc)
-        + QSeries.monomial(c * a + b, trunc)
-        - QSeries.monomial(c * a + c * b, trunc)
-    )
-    den_inv = (
-        QSeries.geometric(b, trunc)
-        * QSeries.geometric(c * a, trunc)
-        * QSeries.geometric(c * (a + b), trunc)
-    )
-    return num * den_inv
+    num = [(0, 1), (b, -1), (c * a + b, 1), (c * a + c * b, -1)]
+    return _rational_series(num, (b, c * a, c * (a + b)), trunc)
 
 
 def gfun_cc1_series(c: int, trunc: int) -> QSeries:
@@ -521,19 +529,8 @@ def gfun_cc1_series(c: int, trunc: int) -> QSeries:
     if c < 1:
         raise ValueError("c must be >= 1")
     _check_trunc(trunc)
-    num = (
-        QSeries.one(trunc)
-        - QSeries.monomial(1, trunc)
-        + QSeries.monomial(c, trunc)
-        - QSeries.monomial(c + 1, trunc)
-        + QSeries.monomial(2 * c, trunc)
-    )
-    return (
-        num
-        * QSeries.geometric(1, trunc)
-        * QSeries.geometric(2 * c, trunc)
-        * QSeries.geometric(3 * c, trunc)
-    )
+    num = [(0, 1), (1, -1), (c, 1), (c + 1, -1), (2 * c, 1)]
+    return _rational_series(num, (1, 2 * c, 3 * c), trunc)
 
 
 def gfun_cdc1_series(c: int, d: int, trunc: int) -> QSeries:
@@ -546,15 +543,11 @@ def gfun_cdc1_series(c: int, d: int, trunc: int) -> QSeries:
     if c < 1 or d < 1:
         raise ValueError("c and d must be >= 1")
     _check_trunc(trunc)
-    t1 = (
-        QSeries.one(trunc) - QSeries.monomial(1, trunc) + QSeries.monomial(c, trunc)
-    ) * QSeries.geometric(c * d, trunc)
-    t2 = (
-        QSeries.monomial(c, trunc) + QSeries.monomial(2 * c, trunc)
-    ) * QSeries.geometric(2 * c * d, trunc)
-    t3 = QSeries.monomial(2 * c + 1, trunc) * QSeries.geometric(3 * c * d, trunc)
-    pref = QSeries.geometric(1, trunc) * QSeries.geometric(2 * c, trunc)
-    return pref * (t1 - t2 + t3)
+    return (
+        _rational_series([(0, 1), (1, -1), (c, 1)], (1, 2 * c, c * d), trunc)
+        + _rational_series([(c, -1), (2 * c, -1)], (1, 2 * c, 2 * c * d), trunc)
+        + _rational_series([(2 * c + 1, 1)], (1, 2 * c, 3 * c * d), trunc)
+    )
 
 
 def gfun_steps_series(k: int, l: int, trunc: int) -> QSeries:
@@ -566,10 +559,7 @@ def gfun_steps_series(k: int, l: int, trunc: int) -> QSeries:
     """
     _check_trunc(trunc)
     reduced = poly_div_exact(build_G(k, l).coeffs, one_minus_q(1))
-    out = QSeries.from_coeffs(reduced, trunc)
-    for j in range(1, l + 2):
-        out = out * QSeries.geometric(j * k, trunc)
-    return out
+    return _rational_series(enumerate(reduced), [j * k for j in range(1, l + 2)], trunc)
 
 
 def _check_trunc(trunc: int):
@@ -581,6 +571,25 @@ KIND_C1 = "(c,1)"
 KIND_CC1 = "(c,c,1)"
 KIND_CDC1 = "(cd,c,1)"
 KIND_STEPS = "(k,...,k,1)"
+
+
+def closed_form_kind(gamma: tuple[int, ...]) -> tuple[str, dict]:
+    """The closed-form kind of signature gamma and the params that
+    gfun_infinite_closed reads for it; ValueError if it has none."""
+    if len(gamma) >= 2 and gamma[-1] == 1:
+        body = gamma[:-1]
+        if len(body) == 1:
+            return KIND_C1, {"c": body[0]}
+        if len(set(body)) == 1:
+            if len(body) == 2:
+                return KIND_CC1, {"c": body[0]}
+            return KIND_STEPS, {"k": body[0], "l": len(body)}
+        if len(body) == 2 and body[0] % body[1] == 0:
+            return KIND_CDC1, {"c": body[1], "d": body[0] // body[1]}
+    raise ValueError(
+        f"no closed form for signature {gamma}; closed forms exist for"
+        " signatures (c,1), (c,c,1), (cd,c,1) and (k,...,k,1)"
+    )
 
 
 def gfun_infinite_closed(kind: str, params: dict, trunc: int) -> QSeries:

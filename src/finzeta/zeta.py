@@ -110,6 +110,9 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
     imaginary axis a factor whose numerator and denominator both vanish
     (within 1e-12) is replaced by its limit (e_p+k)/k; a denominator that
     vanishes alone raises EulerFactorSingularity.
+
+    exact=True needs integer s and returns an int (s <= 0) or Fraction
+    (s > 0), as eval_brute does; otherwise returns complex.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -124,7 +127,7 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
             x = Fraction(1, p**s) if s > 0 else Fraction(p ** (-s))
             for k in range(1, m + 1):
                 total *= (1 - x ** (e + k)) / (1 - x**k)
-        return int(total) if total.denominator == 1 else total
+        return total if s > 0 else int(total)
     z = complex(s)
     if z == 0:
         return complex(chain_count(N, m))

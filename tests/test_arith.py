@@ -304,6 +304,14 @@ def test_sieve_numpy_int_matches_scalar(monkeypatch):
             assert _exact_items(got) == _exact_items(want), limit
 
 
+def test_sieve_numpy_int_checks_the_products_not_a_bound(monkeypatch):
+    # the largest value is 4753980 at n = 90720, far below 2**53, though a
+    # bound from each prime's largest value alone would pass 2**63
+    local = lambda p, e: math.comb(e + 6, 6)
+    got = _numpy_sieve(monkeypatch, 10**5, local)
+    assert _exact_items(got) == _exact_items(arith._sieve_scalar(10**5, local))
+
+
 def test_sieve_scalar_cases_match_scalar():
     # Fraction values, a custom one, mixed int/float and bool values
     cases = [

@@ -119,6 +119,26 @@ def test_gfun_infinite_no_closed_form(capsys):
     assert code == 2
 
 
+def test_gfun_infinite_pins_each_shape(capsys):
+    pinned = {
+        "2,1": ("(c,1)", [1, 0, 1, 1, 2, 1, 2, 2, 3, 2, 3]),
+        "2,2,1": ("(c,c,1)", [1, 0, 1, 0, 2, 1, 3, 1, 4, 2, 5]),
+        "4,2,1": ("(cd,c,1)", [1, 0, 0, 0, 1, 0, 1, 1, 3, 1, 2]),
+        "2,2,2,1": ("(k,...,k,1)", [1, 0, 1, 0, 2, 0, 3, 1, 5, 1, 6]),
+    }
+    for gamma, (kind, coeffs) in pinned.items():
+        code, report, _ = run_json(capsys, "gfun", gamma, "--infinite", "--trunc", "10")
+        assert code == 0
+        assert report["notes"] == [f"closed form kind {kind}, diagonal q_i = q"]
+        assert [r["coeff"] for r in report["results"]] == coeffs, gamma
+    code, out, err = run(capsys, "gfun", "2,3", "--infinite")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: no closed form for signature (2, 3); closed forms exist for"
+        " signatures (c,1), (c,c,1), (cd,c,1) and (k,...,k,1)\n"
+    )
+
+
 def test_average_small(capsys):
     code, report, _ = run_json(capsys, "average", "g_m_inf", "-m", "2", "--max", "1000")
     assert code == 0

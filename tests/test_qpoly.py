@@ -252,6 +252,16 @@ def test_closed_forms_match_finite_truncation():
         assert got.coeffs == _finite_diagonal((k,) * l + (1,), D, D).coeffs, (k, l)
 
 
+def test_closed_form_c1_powers_match_finite_specialization():
+    D = 18
+    for c in (1, 2, 3):
+        for a, b in ((2, 1), (1, 2), (2, 3), (3, 1)):
+            got = gfun_c1_series(c, D, (a, b))
+            # lam_1 <= D covers every monomial of weighted degree <= D
+            want = gfun_finite((c, 1), D).specialize([a, b], D)
+            assert got.coeffs == want.coeffs, (c, a, b)
+
+
 def test_closed_form_rejects_bad_trunc():
     with pytest.raises(ValueError):
         gfun_infinite_closed(KIND_CC1, {"c": 2}, 0)

@@ -180,6 +180,19 @@ def test_euler_equals_brute_exact():
             assert isinstance(b, (int, Fraction))
 
 
+def test_exact_routes_agree_in_type():
+    # multiply-perfect N have a whole Z^1_N(1) = sigma(N) / N
+    cases = [(N, 1, 1) for N in (6, 28, 120, 496, 672)]
+    sweep = random.Random(0x7E9E)
+    for _ in range(60):
+        cases.append((sweep.randrange(1, 2000), sweep.randrange(1, 4), sweep.randrange(-3, 4)))
+    for N, m, k in cases:
+        b = eval_brute(N, m, k, exact=True)
+        e = eval_euler(N, m, k, exact=True)
+        assert b == e and type(b) is type(e), (N, m, k)
+        assert type(b) is (Fraction if k > 0 else int), (N, m, k)
+
+
 def test_functional_equation():
     for _ in range(30):
         N = rng.randrange(1, 200)
