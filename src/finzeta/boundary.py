@@ -45,22 +45,9 @@ def poly_roots(poly: IntPoly) -> list[complex]:
     coefficient scale is a hard error."""
     if poly.degree < 1:
         raise ValueError("need degree >= 1")
+    val, dval = poly, poly.deriv()
     c = np.array(poly.coeffs, dtype=np.complex128)
     d = poly.degree
-    dc = c[1:] * np.arange(1, d + 1)
-
-    def val(z):
-        out = np.zeros_like(z)
-        for coef in c[::-1]:
-            out = out * z + coef
-        return out
-
-    def dval(z):
-        out = np.zeros_like(z)
-        for coef in dc[::-1]:
-            out = out * z + coef
-        return out
-
     radius = 1.0 + float(np.abs(c[:-1]).max()) / abs(poly.coeffs[-1])
     angles = 2.0 * np.pi * (np.arange(d) + 0.37) / d
     z = 0.9 * radius * np.exp(1j * angles)

@@ -217,8 +217,6 @@ def _cmd_gfun(args) -> tuple[dict, int]:
             "trunc": args.trunc,
         }
     else:
-        if args.l is None:
-            raise ValueError("need -l LEVEL or --infinite")
         poly = qpoly.gfun_finite(qpoly.Signature(gamma), args.l)
         results = [
             {"exponents": ",".join(map(str, exps)), "coeff": c}
@@ -344,9 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gfun", parents=[common],
                        help="chain generating polynomial G^gamma_l")
     p.add_argument("gamma", type=_parse_gamma, help="signature, e.g. 2,1")
-    p.add_argument("-l", type=int, default=None, help="finite level")
-    p.add_argument("--infinite", action="store_true",
-                   help="closed form of the l -> infinity limit")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("-l", type=int, default=None, help="finite level")
+    level.add_argument("--infinite", action="store_true",
+                       help="closed form of the l -> infinity limit")
     p.add_argument("--trunc", type=int, default=20,
                    help="series truncation for --infinite")
     p.set_defaults(handler=_cmd_gfun)

@@ -2,8 +2,9 @@
 
 Three representations live here.  IntPoly (G_{k,l} is one) is a dense integer
 polynomial over the plain-list helpers poly_mul / poly_div_exact.  QSeries is
-a power series in q truncated at a fixed order.  MultiQPoly is an exact
-polynomial in q_1..q_m stored sparsely as {exponent vector: int}.
+a power series in q truncated at a fixed order, multiplied by poly_mul too.
+MultiQPoly is an exact polynomial in q_1..q_m stored sparsely as {exponent
+vector: int}.
 
 On top of them: Gaussian binomials, the chain generating polynomials
 
@@ -36,15 +37,16 @@ def poly_trim(a: list[int]) -> list[int]:
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Full product, untrimmed: trimmed factors give a nonzero leading term."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    support = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return poly_trim(out)
+            for j, cb in support:
+                out[i + j] += ca * cb
+    return out
 
 
 def poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -149,10 +151,10 @@ class QSeries:
         return cls.from_coeffs([1], trunc)
 
     @classmethod
-    def monomial(cls, exp: int, trunc: int, coeff: int = 1) -> "QSeries":
+    def monomial(cls, exp: int, trunc: int) -> "QSeries":
         c = [0] * (trunc + 1)
         if 0 <= exp <= trunc:
-            c[exp] = coeff
+            c[exp] = 1
         return cls(tuple(c), trunc)
 
     @classmethod
@@ -185,15 +187,8 @@ class QSeries:
         if isinstance(other, int):
             return QSeries(tuple(c * other for c in self.coeffs), self.trunc)
         t = self._common(other)
-        out = [0] * (t + 1)
-        support = [(j, b) for j, b in enumerate(other.coeffs[: t + 1]) if b]
-        for i, a in enumerate(self.coeffs[: t + 1]):
-            if a:
-                for j, b in support:
-                    if i + j > t:
-                        break
-                    out[i + j] += a * b
-        return QSeries(tuple(out), t)
+        prod = poly_mul(self.coeffs[: t + 1], other.coeffs[: t + 1])
+        return QSeries(tuple(prod[: t + 1]), t)
 
     __rmul__ = __mul__
 
@@ -314,19 +309,6 @@ class MultiQPoly:
             e = tuple(a * d for a, d in zip(exps, powers))
             out[e] = out.get(e, 0) + c
         return MultiQPoly(self.nvars, out)
-
-    def embed(self, nvars: int, mapping: Sequence[int]) -> "MultiQPoly":
-        """Relabel variable i as mapping[i] inside a space of nvars variables."""
-        if len(mapping) != self.nvars:
-            raise ValueError("need one target slot per variable")
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            e = [0] * nvars
-            for slot, a in zip(mapping, exps):
-                e[slot] += a
-            key = tuple(e)
-            out[key] = out.get(key, 0) + c
-        return MultiQPoly(nvars, out)
 
     def specialize(self, weights: Sequence[int], trunc: int) -> QSeries:
         """q_i -> q^{weights[i]}, truncated to the given order."""
@@ -463,12 +445,12 @@ def _gfun_rec(parts: tuple[int, ...], l: int) -> MultiQPoly:
     g1 = parts[0]
     if m == 1:
         return MultiQPoly(1, {(v,): 1 for v in range(0, l + 1, g1)})
-    acc = MultiQPoly.zero(m)
-    for n in range(l // g1 + 1):
-        sub = _gfun_rec(parts[1:], g1 * n)
-        lifted = sub.embed(m, list(range(1, m)))
-        acc = acc + MultiQPoly.monomial((g1 * n,) + (0,) * (m - 1)) * lifted
-    return acc
+    # the first exponents v differ, so no two keys collide
+    return MultiQPoly(m, {
+        (v,) + exps: c
+        for v in range(0, l + 1, g1)
+        for exps, c in _gfun_rec(parts[1:], v).terms.items()
+    })
 
 
 def gfun_recurrence(gamma, l: int) -> MultiQPoly:
@@ -515,6 +497,8 @@ def gfun_c1_series(c: int, trunc: int, powers: tuple[int, int] = (1, 1)) -> QSer
     """
     if c < 1:
         raise ValueError("c must be >= 1")
+    if len(powers) != 2 or not all(isinstance(p, int) and p >= 1 for p in powers):
+        raise ValueError(f"powers must be a pair of ints >= 1, got {powers!r}")
     _check_trunc(trunc)
     a, b = powers
     num = [(0, 1), (b, -1), (c * a + b, 1), (c * a + c * b, -1)]

@@ -119,6 +119,15 @@ def test_gfun_infinite_no_closed_form(capsys):
     assert code == 2
 
 
+def test_gfun_level_and_infinite_exclude_each_other(capsys):
+    for argv in (["gfun", "2,1", "-l", "3", "--infinite"], ["gfun", "2,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "-l" in err and "--infinite" in err, argv
+
+
 def test_gfun_infinite_pins_each_shape(capsys):
     pinned = {
         "2,1": ("(c,1)", [1, 0, 1, 1, 2, 1, 2, 2, 3, 2, 3]),

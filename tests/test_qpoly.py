@@ -21,6 +21,7 @@ from finzeta.qpoly import (
     gfun_recurrence,
     gfun_steps_series,
     poly_div_exact,
+    poly_mul,
     qbinom,
 )
 
@@ -262,6 +263,13 @@ def test_closed_form_c1_powers_match_finite_specialization():
             assert got.coeffs == want.coeffs, (c, a, b)
 
 
+def test_closed_form_c1_rejects_bad_powers():
+    for powers in ((0, 1), (1, 0), (-1, 2), (1,), (1, 2, 3), (1.5, 1)):
+        with pytest.raises(ValueError) as exc:
+            gfun_infinite_closed(KIND_C1, {"c": 2, "powers": powers}, 8)
+        assert str(exc.value) == f"powers must be a pair of ints >= 1, got {powers!r}"
+
+
 def test_closed_form_rejects_bad_trunc():
     with pytest.raises(ValueError):
         gfun_infinite_closed(KIND_CC1, {"c": 2}, 0)
@@ -305,6 +313,11 @@ def test_qseries_mul_matches_literal_cauchy_product():
                 assert prod.trunc == min(ta, tb)
                 assert list(prod.coeffs) == want, (ka, kb, ta, tb)
                 assert [type(x) for x in prod.coeffs] == [type(x) for x in want], (ka, kb)
+                # the full product: zero-padding adds no term to the literal sum
+                full = poly_mul(a, b)
+                want = _literal_cauchy(a + [0] * tb, b + [0] * ta, ta + tb)
+                assert full == want, (ka, kb, ta, tb)
+                assert [type(x) for x in full] == [type(x) for x in want], (ka, kb)
 
 
 def test_qseries_truncation_discipline():
