@@ -149,13 +149,19 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2**63 into primes.
 
-    Trial division up to 2**16, then Miller-Rabin plus Pollard rho for a
-    cofactor not proved prime by it.  Rejects n < 1 and n >= 2**63.
+    A square or cube n >= 2**32 factors through its root.  Otherwise trial
+    division up to 2**16, then Miller-Rabin plus Pollard rho for a cofactor
+    not proved prime by it.  Rejects n < 1 and n >= 2**63.
     """
     if not isinstance(n, int):
         raise TypeError(f"expected int, got {type(n).__name__}")
     if n < 1 or n >= MAX_INPUT:
         raise ValueError(f"n must satisfy 1 <= n < 2**63, got {n}")
+    if n >= 1 << 32:
+        # a pure square or cube factors through its root, without trial division
+        for k, r in ((2, math.isqrt(n)), (3, round(n ** (1 / 3)))):
+            if r**k == n:
+                return Factorization._trusted(tuple((p, e * k) for p, e in factorize(r)))
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:

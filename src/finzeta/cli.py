@@ -6,11 +6,13 @@ import argparse
 import cmath
 import csv
 import functools
-import json
+import math
+import operator
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -104,9 +106,86 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json(value, indent: str) -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True, allow_nan=False,
+    default=_json_leaf) writes it, byte for byte; `indent` is the newline and
+    indentation of the line it starts on.
+
+    Dict keys must be str.  Leaves are dispatched on their exact type (bool is
+    an int subclass); any type outside _JSON_LEAVES goes through _json_leaf.
+    """
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_rows(value, inner)) + indent + "]"
+    return _json(_json_leaf(value), indent)
+
+
+def _json_rows(items, indent: str):
+    """Each item of a non-empty list as _json renders it at `indent`.
+
+    Dicts sharing one key set are rendered column by column: a column whose
+    cells all have exactly the type int, str or float (finite) maps at C speed,
+    a complex column renders as rows of its "re" and "im" parts, and every row
+    fills one % template.
+    """
+    first = items[0]
+    if (
+        set(map(type, items)) != {dict}
+        or not first
+        or not all(map(first.keys().__eq__, map(dict.keys, items)))
+    ):
+        return [_json(v, indent) for v in items]
+    keys = sorted(first)
+    inner = indent + "  "
+    get = operator.itemgetter(*keys)
+    columns = list(zip(*map(get, items))) if len(keys) > 1 else [list(map(get, items))]
+    cells = []
+    for col in columns:
+        kinds = set(map(type, col))
+        if kinds == {float} and all(map(math.isfinite, col)):
+            cells.append(map(float.__repr__, col))
+        elif kinds in ({int}, {str}):
+            cells.append(map(_JSON_LEAVES[kinds.pop()], col))
+        elif kinds == {complex}:
+            cells.append(_json_rows(list(map(_json_leaf, col)), inner))
+        else:
+            cells.append([_json(v, inner) for v in col])
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + indent + "}"
+    return map(template.__mod__, zip(*cells))
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_leaf))
+        print(_json(report, "\n"))
         return
     if fmt == "csv":
         rows = []
@@ -411,7 +490,14 @@ def main(argv=None) -> int:
         hint = "; use --exact for an integer s" if args.command == "eval" else ""
         print(f"error: result is not finite{hint}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (e.g. `| head`); send what remains, and the
+        # flush at interpreter exit, to devnull, as the `signal` docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.timing:
         elapsed = (time.perf_counter() - start) * 1000.0
         print(f"wall_time_ms={elapsed:.1f}", file=sys.stderr)

@@ -124,6 +124,43 @@ def test_factorize_splits_pure_powers_without_rho(monkeypatch):
     assert calls
 
 
+def _trial_division(n):
+    """Every prime below 2**16 first, then a cofactor that is p, p^2 or p^3."""
+    out = []
+    for p in primes(2**16):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    if n > 1:
+        for k in (1, 2, 3):
+            r = round(n ** (1 / k))
+            if r**k == n and is_prime(r):
+                out.append((r, k))
+                break
+        else:
+            raise AssertionError(f"cofactor {n} is not a prime power")
+    return tuple(out)
+
+
+def test_factorize_pure_powers_match_trial_division():
+    # squares and cubes >= 2**32 factor through their root, small factors or not
+    big_primes = (65537, 1048573, 2097143, 1000000007, 2147483647, 3037000493)
+    composites = (2**5 * 3 * 65537, 2**3 * 3 * 65537, 3 * 1000000007, 1021**3, 2**16 + 2)
+    cases = [r**k for r in big_primes + composites for k in (2, 3) if 2**32 <= r**k < 2**63]
+    assert 2147483647**2 in cases and 2097143**3 in cases and (2**5 * 3 * 65537) ** 2 in cases
+    assert (2**3 * 3 * 65537) ** 3 in cases and 1021**6 in cases
+    for n in cases:
+        # the undecorated function, so no cached result hides the work
+        assert factorize.__wrapped__(n).entries == _trial_division(n), n
+        # its neighbours take the general route and still round-trip
+        for m in (n - 1, n + 1):
+            f = factorize.__wrapped__(m)
+            assert Factorization(f.entries).n == m
+
+
 def test_factorization_validates_user_entries():
     for bad in (((4, 1),), ((3, 1), (2, 1)), ((2, 0),), ((2, 1), (2, 1))):
         with pytest.raises(ValueError):

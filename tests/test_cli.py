@@ -1,11 +1,20 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finzeta.cli import main
+import finzeta
+from finzeta.cli import _build_parser, _emit, _json_leaf, main
 
 
 def run(capsys, *argv):
@@ -380,3 +389,145 @@ def test_negative_number_flag_via_equals(capsys):
     code, report, _ = run_json(capsys, "eval", "-N", "8", "-m", "1", "--point=-0.5+2i")
     assert code == 0
     assert report["parameters"]["s"] == {"re": -0.5, "im": 2.0}
+
+
+# ---------------------------------------------------------------------------
+# the json emitter writes exactly the bytes of json.dumps
+
+
+def _dumps(report):
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_leaf) + "\n"
+
+
+def _assert_same_json(capsys, report):
+    capsys.readouterr()
+    _emit(report, "json")
+    assert capsys.readouterr().out == _dumps(report)
+
+
+def _handler_report(*argv):
+    args = _build_parser().parse_args(list(argv))
+    report, _ = args.handler(args)
+    return report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "-N", "4", "-m", "2", "-s", "1", "--exact", "--mode", "both"),
+        ("eval", "-N", "12", "-m", "2", "--point", "0.5+2i", "--mode", "both"),
+        ("zeros", "-N", "12", "-m", "2", "--height", "20", "--all-candidates"),
+        ("gfun", "2,1", "-l", "3"),
+        ("gfun", "2,1", "--infinite", "--trunc", "12"),
+        ("powerful", "-k", "2", "-l", "2", "--max", "500"),
+        ("unitarity", "--kmax", "3", "--lmax", "2"),
+        ("average", "Z_at_sigma", "-m", "2", "--max", "1000", "--sigma", "0.5"),
+        ("eisenstein", "-m", "2", "-s", "3", "--trunc", "8"),
+        ("eisenstein", "-m", "2", "-s", "0.5", "--trunc", "8"),
+        ("eisenstein", "-m", "2", "-s", "0.5+1i", "--trunc", "8"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_json_bytes_equal_json_dumps_per_subcommand(capsys, argv):
+    report = _handler_report(*argv)
+    assert report["results"]
+    _assert_same_json(capsys, report)
+
+
+def test_json_unitarity_report_covers_every_leaf_kind():
+    report = _handler_report("unitarity", "--kmax", "3", "--lmax", "2")
+    kinds = {type(v) for row in report["results"] for v in row.values()}
+    assert {bool, type(None), str, float, complex} <= kinds
+
+
+def test_json_bytes_equal_json_dumps_on_edge_cases(capsys):
+    escaped = [
+        "caf\u00e9", "\u2603 \U0001f600", "tab\tnl\n\"q\" back\\", "\x00\x1f", "%s %% %(x)s", ""
+    ]
+    cases = [
+        {"results": [], "notes": []},
+        {"results": [{"a": 1}, {"b": 2.5}, {"a": 3, "b": None}], "notes": ["n"]},
+        {"results": [{"v": True}, {"v": 1}, {"v": False}, {"v": 0}]},
+        {"results": [{"v": 1}, {"v": 1.0}, {"v": -2}, {"v": 2.5}]},
+        {"results": [{"n": n} for n in range(5)]},
+        {"results": [{s: s} for s in escaped] + [{"k": s} for s in escaped]},
+        {"results": [{"x": x, "y": -x} for x in (-0.0, 0.0, 5e-324, 1e308, 1e16, 0.1)]},
+        {"results": [{"i": i} for i in (2**64, 2**64 + 1, -(2**70), 10**40)]},
+        {"results": [{"z": complex(x, -x), "f": Fraction(x).limit_denominator(7)}
+                     for x in (0.5, -0.0, 1e308)]},
+        {"results": [{}, {}], "parameters": {}, "notes": [[], [[]], ()]},
+        {"results": [{"a": 1, "b": [1, {"c": (2, 3)}]}, {"a": 2, "b": []}]},
+        {"results": [{"w": None}, {"w": 1 + 2j}, {"w": "s"}], "nested": {"d": {"e": [1.5]}}},
+        {"results": [{"%": 1, "%s": 2, "\u00e9": 3}] * 3},
+    ]
+    for report in cases:
+        _assert_same_json(capsys, report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_rejects_non_finite_floats(bad):
+    for report in (
+        {"results": [{"v": 1.0}, {"v": bad}]},
+        {"results": [{"v": 1}, {"v": bad}]},
+        {"results": [{"v": complex(1.0, bad)}, {"v": 1j}]},
+        {"results": [{"v": complex(bad, 0.0)}]},
+        {"parameters": {"s": bad}, "results": []},
+    ):
+        with pytest.raises(ValueError):
+            _dumps(report)
+        with pytest.raises(ValueError):
+            _emit(report, "json")
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.fractions(),
+)
+# one kind per column most of the time, so the column-wise path runs
+_COLUMNS = st.sampled_from(
+    [st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(),
+     st.complex_numbers(allow_nan=False, allow_infinity=False), _LEAVES]
+)
+
+
+@st.composite
+def _flat_reports(draw):
+    keys = draw(st.lists(st.text(max_size=3), max_size=5, unique=True))
+    columns = {k: draw(_COLUMNS) for k in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(columns), max_size=8))
+    odd = draw(st.lists(st.dictionaries(st.text(max_size=3), _LEAVES, max_size=3), max_size=2))
+    return {"results": rows + odd if draw(st.booleans()) else rows, "notes": odd}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_flat_reports())
+def test_json_bytes_equal_json_dumps_property(report):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(report, "json")
+    assert out.getvalue() == _dumps(report)
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the output (>100 kB) outgrows the pipe, so writing continues after the close
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finzeta.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["powerful", "-k", "2", "-l", "2", "--max", "100000000", "--format"]
+    for fmt in ("csv", "json", "human"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "finzeta.cli", *argv, fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, fmt
+        assert err == b"", (fmt, err)
