@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import divisors, mobius
+from .arith import mobius
 from .powerful import sieve_step_powerful
 from .zeta import eval_brute
 
@@ -42,13 +42,20 @@ def riemann_zeta(s) -> float:
 
     Euler-Maclaurin with cutoff 1000 and eight Bernoulli terms; the first
     omitted term is evaluated as a tail estimate and must stay negligible.
+    Once cutoff^{1-s} underflows to 0.0, every correction term is 0 and the
+    head sum is the value.
     """
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError("zeta(s) requires finite s")
     if s <= 1.0:
         raise ValueError("zeta(s) requires real s > 1")
     n_cut = _EM_CUTOFF
     head = math.fsum(n**-s for n in range(1, n_cut))
-    value = head + n_cut ** (1.0 - s) / (s - 1.0) + 0.5 * n_cut**-s
+    integral = n_cut ** (1.0 - s)
+    if integral == 0.0:
+        return head
+    value = head + integral / (s - 1.0) + 0.5 * n_cut**-s
     rising = 1.0
     idx = 0
     for j, b in enumerate(_BERNOULLI, start=1):
@@ -83,7 +90,7 @@ def zeta_m_inf_truncated(m: int, s, bound: int) -> float:
     if m < 1 or bound < 1:
         raise ValueError("need m >= 1 and bound >= 1")
     s = float(s)
-    if s <= 1.0:
+    if not s > 1.0:  # also rejects nan
         raise ValueError("truncated sum only sensible for s > 1")
     level = [0.0] + [n**-s for n in range(1, bound + 1)]
     for _ in range(m - 1):
@@ -153,6 +160,8 @@ def dirichlet_convolve(a: Sequence, b: Sequence) -> list:
 
 def power_indicator_coeffs(c: int, bound: int) -> list[int]:
     """Coefficients of zeta(cs): 1 at perfect c-th powers, else 0."""
+    if c < 1:
+        raise ValueError("need c >= 1")
     out = [0] * (bound + 1)
     t = 1
     while t**c <= bound:
@@ -163,6 +172,8 @@ def power_indicator_coeffs(c: int, bound: int) -> list[int]:
 
 def moebius_power_coeffs(c: int, bound: int) -> list[int]:
     """Coefficients of 1/zeta(cs): mu(t) at t^c, else 0."""
+    if c < 1:
+        raise ValueError("need c >= 1")
     out = [0] * (bound + 1)
     t = 1
     while t**c <= bound:
@@ -203,8 +214,16 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
 def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
     """Both coefficient routes of Z^{(k,...,k,1)}_infinity (l copies of k).
 
-    lhs: direct enumeration of chains n_{l+1} | n_l^k, n_l | n_{l-1}, ...,
-    n_2 | n_1 with weight n_1^k ... n_l^k n_{l+1} <= bound.
+    lhs: literal enumeration of the chains n_{l+1} | n_l^k, n_l | n_{l-1},
+    ..., n_2 | n_1 with weight n_1^k ... n_l^k n_{l+1} <= bound, one count
+    per chain.  It runs from the smallest link upward: n_l = a divides
+    every n_i, so the weight is at least a^{kl} n_{l+1}.  For each such a
+    it takes n_{l+1} = c with c | a^k and c <= min(a^k, bound / a^{kl}),
+    then n_{l-1}, ..., n_1 from the multiples of the link below, stopping
+    once the remaining links, each at least the current one, would
+    overshoot the bound.  Nothing here factors n or uses the step-powerful
+    sieve, so the lhs is the definition of the series and stays
+    independent of the rhs.
     rhs: convolution of the l-step k-powerful indicator f_{k,l} with the
     coefficient sequences of zeta(jks) for j = 2..l+1.
     """
@@ -212,31 +231,24 @@ def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
         raise ValueError("need k, l, bound >= 1")
 
     lhs = [0] * (bound + 1)
-    div_cache: dict[int, list[int]] = {}
 
-    def divs(n: int) -> list[int]:
-        got = div_cache.get(n)
-        if got is None:
-            got = div_cache[n] = divisors(n)
-        return got
-
-    def descend(level: int, prev: int, weight: int):
-        if level > l:
-            top = prev**k
-            for d in divs(top):
-                if weight * d <= bound:
-                    lhs[weight * d] += 1
+    def extend(level: int, prev: int, weight: int):
+        # n_level runs over the multiples of prev; n_level, ..., n_1 >= n
+        if level == 0:
+            lhs[weight] += 1
             return
-        pool = range(1, bound + 1) if level == 1 else divs(prev)
-        for n in pool:
-            w = weight * n**k
-            if w > bound:
-                if level == 1:
-                    break
-                continue
-            descend(level + 1, n, w)
+        for n in range(prev, bound + 1, prev):
+            if weight * n ** (k * level) > bound:
+                break
+            extend(level - 1, n, weight * n**k)
 
-    descend(1, 0, 1)
+    a = 1
+    while a ** (k * l) <= bound:
+        top = a**k
+        for c in range(1, min(top, bound // a ** (k * l)) + 1):
+            if top % c == 0:
+                extend(l - 1, a, top * c)
+        a += 1
 
     conv = [0] * (bound + 1)
     for n in sieve_step_powerful(bound, k, l):

@@ -45,6 +45,25 @@ def test_riemann_zeta_domain():
             riemann_zeta(bad)
 
 
+def test_riemann_zeta_rejects_non_finite_s():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            riemann_zeta(bad)
+        with pytest.raises(ValueError):
+            zeta_m_inf(2, bad)
+    with pytest.raises(ValueError):
+        zeta_m_inf_truncated(2, math.nan, 10)
+
+
+def test_riemann_zeta_is_one_where_the_correction_underflows():
+    # 1000^{1-s} underflows near s = 108.8; the rising factorial overflows
+    # near s = 1e20, which once multiplied inf by 0 into nan
+    for s in (108.5, 108.9, 109.0, 200.0, 1e20, 1e21, 1e300):
+        assert riemann_zeta(s) == 1.0, s
+    assert zeta_m_inf(1, 1e21) == 1.0
+    assert zeta_m_inf(3, 1e100) == 1.0
+
+
 def test_zeta_m_inf_examples():
     assert zeta_m_inf(1, 2) == riemann_zeta(2)
     assert abs(zeta_m_inf(2, 2) - math.pi**6 / 540) < 1e-12
@@ -123,6 +142,13 @@ def test_power_indicator_and_moebius_coeffs():
     # zeta(2s) * 1/zeta(2s) == 1
     conv = dirichlet_convolve(power_indicator_coeffs(2, 400), moebius_power_coeffs(2, 400))
     assert conv[1] == 1 and all(conv[n] == 0 for n in range(2, 401))
+
+
+def test_power_coeffs_reject_c_below_one():
+    for c in (0, -1, -3):
+        for fn in (power_indicator_coeffs, moebius_power_coeffs):
+            with pytest.raises(ValueError, match="need c >= 1"):
+                fn(c, 50)
 
 
 def _random_sequences(rnd, length):
@@ -213,6 +239,29 @@ def test_powerful_zeta_factorization_examples():
     pair = powerful_zeta_factorization(3, 1, 10)
     assert pair.lhs[1] == 1
     assert pair.agree()
+
+
+def _chain_oracle(k, l, bound):
+    """Count every (n_1, ..., n_{l+1}), each n_i <= bound, with n_{i+1} | n_i
+    for i < l and n_{l+1} | n_l^k, at its weight (n_1 ... n_l)^k n_{l+1}."""
+    links = [(n,) for n in range(1, bound + 1)]
+    for _ in range(l - 1):
+        links = [t + (n,) for t in links for n in range(1, bound + 1) if t[-1] % n == 0]
+    counts = [0] * (bound + 1)
+    for t in links:
+        for c in range(1, bound + 1):
+            weight = math.prod(t) ** k * c
+            if t[-1] ** k % c == 0 and weight <= bound:
+                counts[weight] += 1
+    return counts
+
+
+def test_powerful_zeta_factorization_lhs_matches_chain_oracle():
+    for bound in (150, 1):
+        for k in (1, 2, 3):
+            for l in (1, 2, 3):
+                lhs = powerful_zeta_factorization(k, l, bound).lhs.coeffs
+                assert list(lhs[1:]) == _chain_oracle(k, l, bound)[1:], (k, l, bound)
 
 
 def test_powerful_zeta_factorization_sweep_small():
