@@ -268,22 +268,33 @@ def multiplicative_lift(local: Callable[[int, int], object], N):
     return reduce(lambda acc, pe: acc * local(pe[0], pe[1]), fact.entries, 1)
 
 
-@cache
+@lru_cache(maxsize=1024)
+def _exponent_sum_counts(e: int, m: int) -> tuple[int, ...]:
+    """(h(0), ..., h(e*m)): h(t) counts the exponent chains
+    0 <= j_1 <= ... <= j_m <= e with j_1 + ... + j_m = t."""
+    # rows[k] counts the chains of length k with top <= j.  Those with top
+    # exactly j are j plus a chain of length k - 1 with top <= j: rows[k - 1].
+    rows = [[1]] * (m + 1)
+    for j in range(1, e + 1):
+        for k in range(1, m + 1):
+            row = [0] * j + rows[k - 1]
+            for t, c in enumerate(rows[k]):
+                row[t] += c
+            rows[k] = row
+    return tuple(rows[m])
+
+
 def bounded_partition_count(total: int, max_part: int, max_len: int | None = None) -> int:
     """Number of partitions of total with parts <= max_part and at most
-    max_len parts (max_len=None means unbounded length)."""
+    max_len parts (None: unbounded); a lookup into the chain histogram, as
+    zero-padded they are the chains of _exponent_sum_counts(max_part, max_len)."""
     if total < 0:
         return 0
-    if total == 0:
-        return 1
     if max_len is None:
         max_len = total
-    if max_part <= 0 or max_len <= 0:
-        return 0
-    # split on whether a part equal to max_part is used
-    return bounded_partition_count(total, max_part - 1, max_len) + bounded_partition_count(
-        total - max_part, max_part, max_len - 1
-    )
+    # bounds clamped to [0, total]; a bound of 0 leaves only the empty partition
+    h = _exponent_sum_counts(min(max(max_part, 0), total), min(max(max_len, 0), total))
+    return h[total] if total < len(h) else 0
 
 
 def spf_sieve(limit: int) -> list[int]:

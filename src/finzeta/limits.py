@@ -90,7 +90,9 @@ def zeta_m_inf_truncated(m: int, s, bound: int) -> float:
     if m < 1 or bound < 1:
         raise ValueError("need m >= 1 and bound >= 1")
     s = float(s)
-    if not s > 1.0:  # also rejects nan
+    if not math.isfinite(s):
+        raise ValueError("zeta(s) requires finite s")
+    if not s > 1.0:
         raise ValueError("truncated sum only sensible for s > 1")
     level = [0.0] + [n**-s for n in range(1, bound + 1)]
     for _ in range(m - 1):

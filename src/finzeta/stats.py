@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    _exponent_sum_counts,
     bounded_partition_count,
     divisors,
     factorize,
+    multiplicative_lift,
     multiplicative_sieve,
     sigma as divisor_sigma,
 )
@@ -34,29 +36,20 @@ def g_count(n: int, max_part: int, max_len: int | None = None) -> int:
         raise ValueError("need n >= 1 and max_part >= 1")
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1 or None")
-    out = 1
-    for _, e in factorize(n):
-        out *= bounded_partition_count(e, max_part, max_len)
-    return out
+    return multiplicative_lift(lambda p, e: bounded_partition_count(e, max_part, max_len), n)
 
 
 def coefficient_identity_check(N: int, m: int) -> bool:
     """True iff the multiset of chain products over divisor_chains(N, m)
     matches n -> prod_p (partitions of ord_p n, parts <= m, length <= ord_p N)
-    supported on divisors of N^m."""
+    over the divisors n of N^m, built prime by prime."""
     if N < 1 or m < 1:
         raise ValueError("need N, m >= 1")
-    got = chain_product_counts(N, m)
-    fact = factorize(N)
-    predicted: dict[int, int] = {}
-    for d in divisors(N**m):
-        val = 1
-        dfact = factorize(d)
-        for p, l in fact:
-            val *= bounded_partition_count(dfact.ord(p), m, l)
-        if val:
-            predicted[d] = val
-    return got == predicted
+    predicted = {1: 1}
+    for p, l in factorize(N):
+        local = [(p**t, bounded_partition_count(t, m, l)) for t in range(l * m + 1)]
+        predicted = {d * pt: c * k for d, c in predicted.items() for pt, k in local}
+    return chain_product_counts(N, m) == predicted
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,8 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
         predicted = math.prod(riemann_zeta(k) for k in range(2, m + 1))
 
         def local(p, e):
-            return bounded_partition_count(e, m)
+            # partitions of e into at most min(m, e) parts, conjugate to parts <= m
+            return _exponent_sum_counts(e, min(m, e))[e]
 
         note = _RATE_NOTE
     elif kind == "Z_at_zero":
@@ -116,9 +110,7 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
 
         def local(p, e):
             x = p**sig
-            return sum(
-                bounded_partition_count(t, e, m) * x**t for t in range(e * m + 1)
-            )
+            return sum(k * x**t for t, k in enumerate(_exponent_sum_counts(e, m)))
 
         note = (
             _RATE_NOTE

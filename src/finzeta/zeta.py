@@ -1,10 +1,10 @@
 """Finite multiple zeta values over divisor chains.
 
 Z^m_N(s) sums (n_1 ... n_m)^{-s} over all chains n_1 | n_2 | ... | n_m | N.
-Provided here: the brute evaluation (a literal count of exponent chains per
-prime p | N) and the Euler-product evaluation (its closed q-series form), the
-multivariable variant Z^gamma_N(t_1..t_m), the zero set on the imaginary
-axis, and exact special values at negative integers.
+Provided here: the brute evaluation (exponent chains per prime p | N, counted
+by their sum through a recurrence) and the Euler-product evaluation (its closed
+q-series form), the multivariable variant Z^gamma_N(t_1..t_m), the zero set on
+the imaginary axis, and exact special values at negative integers.
 
 Complex powers of a positive integer v are always exp(-s ln v) with the real
 logarithm, so there is no branch ambiguity.
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _coerce, chain_count, divisors, factorize
+from .arith import _coerce, _exponent_sum_counts, chain_count, divisors, factorize
 from .qpoly import Signature, gfun_finite
 
 
@@ -34,30 +34,24 @@ class EulerFactorSingularity(ArithmeticError):
 _DEGENERATE_TOL = 1e-12
 
 
-@lru_cache(maxsize=1024)
-def _exponent_sum_counts(e: int, m: int) -> tuple[int, ...]:
-    """(h(0), ..., h(e*m)): h(t) counts the exponent chains
-    0 <= j_1 <= ... <= j_m <= e with j_1 + ... + j_m = t."""
-    h = Counter(map(sum, itertools.combinations_with_replacement(range(e + 1), m)))
-    return tuple(h[t] for t in range(e * m + 1))
-
-
 def chain_product_counts(N, m: int) -> dict[int, int]:
     """Multiset {chain product: count} over divisor_chains(N, m).
 
     N is an int or a Factorization.  A chain n_1 | ... | n_m | N splits
     prime by prime into exponent chains j_1 <= ... <= j_m <= ord_p N, and
     its product is prod_p p^(j_1 + ... + j_m).  So each prime's exponent
-    chains are histogrammed by their sum, and the primes are combined by a
-    coprime product, whose keys cannot collide.  Every key divides N^m.
-    With prod_p (e_p m + 1) keys it is a reference route for tests and
-    coefficient_identity_check, so it is not cached.
+    chains are enumerated and histogrammed by their sum, and the primes are
+    combined by a coprime product, whose keys cannot collide.  Every key
+    divides N^m.  It is the reference route that tests and
+    coefficient_identity_check hold against the chain recurrence; with
+    prod_p (e_p m + 1) keys it is not cached.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     counts = {1: 1}
     for p, e in _coerce(N):
-        local = [(p**t, k) for t, k in enumerate(_exponent_sum_counts(e, m))]
+        h = Counter(map(sum, itertools.combinations_with_replacement(range(e + 1), m)))
+        local = [(p**t, k) for t, k in h.items()]
         counts = {v * pt: c * k for v, c in counts.items() for pt, k in local}
     return counts
 
@@ -73,8 +67,8 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     """Z^m_N(s) by direct summation over divisor chains.
 
     By distributivity the chain sum is prod_p sum_t h(t) p^{-st}, with h the
-    literal exponent-chain histogram _exponent_sum_counts(e_p, m); float
-    monomials are exp(-s t log p).
+    exponent-chain histogram _exponent_sum_counts(e_p, m), counted by
+    recurrence; float monomials are exp(-s t log p).
 
     exact=True needs integer s and returns an int (s <= 0) or Fraction
     (s > 0); otherwise returns complex.

@@ -276,6 +276,16 @@ def test_bounded_partition_count_against_enumeration():
                 assert got == want, (total, max_part, max_len)
 
 
+def test_bounded_partition_count_edge_cases():
+    assert bounded_partition_count(-1, 3, 2) == bounded_partition_count(-5, 3) == 0
+    assert bounded_partition_count(5, 3, 0) == bounded_partition_count(5, 3, -1) == 0
+    assert bounded_partition_count(0, 3, 0) == bounded_partition_count(0, -1, -1) == 1
+    assert bounded_partition_count(5, -2, 3) == bounded_partition_count(5, -2) == 0
+    assert bounded_partition_count(6, 50, 2) == bounded_partition_count(6, 6, 2) == 4
+    # conjugation: parts <= 3 against at most 3 parts; round((40 + 3)^2 / 12)
+    assert bounded_partition_count(40, 3) == bounded_partition_count(40, 40, 3) == 154
+
+
 def test_multiplicative_sieve_matches_lift():
     local = lambda p, e: e + 1
     vals = multiplicative_sieve(3000, local)

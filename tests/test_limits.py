@@ -55,6 +55,13 @@ def test_riemann_zeta_rejects_non_finite_s():
         zeta_m_inf_truncated(2, math.nan, 10)
 
 
+def test_zeta_m_inf_truncated_rejects_non_finite_s_as_zeta_m_inf_does():
+    for bad in (math.inf, -math.inf, math.nan):
+        for route in (lambda s: zeta_m_inf(2, s), lambda s: zeta_m_inf_truncated(2, s, 10)):
+            with pytest.raises(ValueError, match="requires finite s"):
+                route(bad)
+
+
 def test_riemann_zeta_is_one_where_the_correction_underflows():
     # 1000^{1-s} underflows near s = 108.8; the rising factorial overflows
     # near s = 1e20, which once multiplied inf by 0 into nan

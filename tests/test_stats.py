@@ -73,6 +73,12 @@ def test_coefficient_identity_sweep():
             assert coefficient_identity_check(N, m), (N, m)
 
 
+def test_coefficient_identity_past_the_factorize_range():
+    # N^m >= 2^63: no divisor of N^m is ever factorized
+    assert coefficient_identity_check(2**40, 2)
+    assert coefficient_identity_check(2**20 * 3**15, 3)
+
+
 def test_g_series_matches_zeta_series():
     # sum over the chain-product multiset == sum of g-weighted divisors of N^m
     for N, m in ((4, 2), (12, 2), (30, 3)):
@@ -93,6 +99,14 @@ def test_average_g_m_inf_m1_is_exact():
     assert res.empirical == 1.0
     assert res.predicted == 1.0
     assert res.beta == 1.0 and res.alpha == 0
+
+
+def test_average_g_m_inf_with_more_parts_than_any_exponent():
+    # n <= 1000 has every exponent <= 9, and a partition of e has at most e
+    # parts, so m = 1200 counts exactly what m = 10 counts
+    assert average_experiment("g_m_inf", 1200, 1000).curve == (
+        average_experiment("g_m_inf", 10, 1000).curve
+    )
 
 
 def test_average_g_m_inf_prediction_value():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finzeta.arith import _exponent_chains, chain_count, divisor_chains, factorize, primes
+from finzeta.qpoly import MultiQPoly, qbinom
 from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
@@ -93,6 +94,17 @@ def test_exponent_sum_counts_match_chain_stream():
         for m in range(1, 6):
             want = Counter(sum(ch) for ch in _exponent_chains(e, m))
             assert dict(enumerate(_exponent_sum_counts(e, m))) == want, (e, m)
+
+
+def test_exponent_sum_counts_beyond_enumeration():
+    # C(70, 8) ~ 9.4e9 chains at 2^62, m = 8; the q-binomial product
+    # prod_k (1 - q^(e+k)) / (1 - q^k) is the route that needs no chains
+    h = _exponent_sum_counts(62, 8)
+    assert MultiQPoly.from_univariate(h) == qbinom(70, 8)
+    h = _exponent_sum_counts(62, 30)
+    assert len(h) == 62 * 30 + 1
+    assert sum(h) == math.comb(92, 30)
+    assert h == h[::-1]
 
 
 def test_eval_brute_exact_matches_flat_histogram():
