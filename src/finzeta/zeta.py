@@ -201,13 +201,13 @@ def _multivar_direct(parts: tuple[int, ...], t: list, bound: int) -> complex:
 
 @dataclass(frozen=True)
 class ZeroLocation:
-    """A point s = 2*pi*i*n / ((e_p + k) log p) on the imaginary axis.
+    """A point s = 2*pi*i*n / ((e_p + k) log p) = 2*pi*i*a / (b log p),
+    gcd(a, b) = 1, on the imaginary axis.
 
-    multiplicity is the actual vanishing order of Z^m_N there.
-    coincidence_count is the size of the coincidence set
-    #{(l, j) : 1 <= l <= m, j != 0, (e_p+k) j = (e_p+l) n}, which counts
-    vanishing numerator factors only; the denominator factors of the Euler
-    product cancel all but at most one of them.
+    coincidence_count is the number of vanishing numerator factors of the
+    Euler product there, and multiplicity the actual vanishing order of
+    Z^m_N, the carry that the vanishing denominator factors leave (0 or 1);
+    both depend on b only (see _axis_orders).
     """
 
     p: int
@@ -218,36 +218,36 @@ class ZeroLocation:
     coincidence_count: int
 
 
+def _axis_orders(e: int, m: int, b: int) -> tuple[int, int]:
+    """(vanishing numerator factors, order) of the p-factor of Z^m_N, with
+    e = ord_p N, at s = 2*pi*i*a / (b log p) for every a coprime to b.
+
+    The numerator factor l vanishes iff b | e + l and the denominator
+    factor l iff b | l, so the order is floor((e+m)/b) - floor(e/b) -
+    floor(m/b): the carry out of the last digit of e + m in base b, 0 or 1.
+    """
+    up = (e + m) // b - e // b
+    return up, up - m // b
+
+
 def zero_multiplicity(N: int, m: int, p: int, k: int, n: int) -> int:
     """Size of the coincidence set
 
         #{(l, j) : 1 <= l <= m, j != 0, (ord_p N + k) j = (ord_p N + l) n}
 
-    at the candidate point indexed by (p, k, n).  This counts coinciding
-    numerator zeros of the Euler product; it is an upper bound for, not
-    equal to, the vanishing order of Z^m_N (see predicted_zeros).
+    at the candidate point indexed by (p, k, n): the coincidence_count of
+    _axis_orders at b = (ord_p N + k) / gcd(n, ord_p N + k).  It counts
+    vanishing numerator factors, an upper bound for, not equal to, the
+    vanishing order of Z^m_N (see predicted_zeros).
     """
     e = factorize(N).ord(p)
     if e == 0:
-        raise ValueError(f"{p} does not divide {N}")
+        raise ValueError(f"{p} is not a prime factor of {N}")
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     if n == 0:
         raise ValueError("need n != 0")
-    count = 0
-    for l in range(1, m + 1):
-        j, rem = divmod((e + l) * n, e + k)
-        if rem == 0 and j != 0:
-            count += 1
-    return count
-
-
-def _order_counts(e: int, m: int, den: int) -> tuple[int, int]:
-    """(numerator zeros, denominator zeros) of the p-factor at the point
-    with reduced frequency denominator den."""
-    up = sum(1 for l in range(1, m + 1) if (e + l) % den == 0)
-    down = sum(1 for l in range(1, m + 1) if l % den == 0)
-    return up, down
+    return _axis_orders(e, m, (e + k) // math.gcd(n, e + k))[0]
 
 
 def predicted_zeros(
@@ -255,45 +255,39 @@ def predicted_zeros(
 ) -> list[ZeroLocation]:
     """All zeros of Z^m_N with |Im s| <= height, each tagged with its order.
 
-    Candidate points are s = 2*pi*i*n/((e_p+k) log p); distinct (k, n) pairs
-    with the same reduced ratio n/(e_p+k) are the same point and are merged
-    (coincidences across different primes are impossible).  The actual order
-    at a candidate is (numerator zeros) - (denominator zeros) of the
-    p-factor; candidates where that difference is 0 are not zeros at all and
-    are dropped unless include_order_zero is set.  The attached (k, n) is the
-    representative with the smallest k.
+    Every zero lies on Re s = 0, at s = 2*pi*i*a / (b log p) for a prime
+    p | N and gcd(a, b) = 1, with the carry of _axis_orders as its order.
+    So each (p, b), b <= e_p + m, is visited once; b with no vanishing
+    numerator factor is skipped, and b of order 0 (not a zero at all)
+    unless include_order_zero is set.  Coincidences across different primes
+    are impossible.  The attached (k, n) is the representative with the
+    smallest k, n = a (e_p + k) / b.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not math.isfinite(height):
+        raise ValueError(f"height must be finite, got {height}")
     if height <= 0:
         raise ValueError("height must be positive")
     out: list[ZeroLocation] = []
     for p, e in factorize(N):
         lp = math.log(p)
-        # each ratio n/(e+k) in lowest terms (num, den); num / den rounds
-        # exactly as float(Fraction(num, den)) does
-        ratios: set[tuple[int, int]] = set()
-        for k in range(1, m + 1):
-            n_max = int(height * (e + k) * lp / (2 * math.pi))
-            for n in range(1, n_max + 1):
-                g = math.gcd(n, e + k)
-                ratios.add((n // g, (e + k) // g))
-        for num, den in ratios:
-            t = 2 * math.pi * (num / den) / lp
-            if t > height:
+        for b in range(1, e + m + 1):
+            up, order = _axis_orders(e, m, b)
+            if up == 0 or (order < 1 and not include_order_zero):
                 continue
-            up, down = _order_counts(e, m, den)
-            order = up - down
-            if order < 1 and not include_order_zero:
-                continue
-            k_rep = next(l for l in range(1, m + 1) if (e + l) % den == 0)
-            n_rep = num * (e + k_rep) // den
-            for sign in (1, -1):
-                out.append(
-                    ZeroLocation(
-                        p, k_rep, sign * n_rep, complex(0.0, sign * t), order, up
+            k = (-e) % b or b
+            for a in itertools.count(1):
+                t = 2 * math.pi * (a / b) / lp
+                if t > height:
+                    break
+                if math.gcd(a, b) > 1:
+                    continue
+                n = a * (e + k) // b
+                for sign in (1, -1):
+                    out.append(
+                        ZeroLocation(p, k, sign * n, complex(0.0, sign * t), order, up)
                     )
-                )
     out.sort(key=lambda z: (z.s.imag, z.p))
     return out
 

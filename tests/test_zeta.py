@@ -12,8 +12,8 @@ from finzeta.qpoly import MultiQPoly, qbinom
 from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
+    _axis_orders,
     _exponent_sum_counts,
-    _order_counts,
     chain_product_counts,
     circle_order_estimate,
     eval_brute,
@@ -322,6 +322,14 @@ def test_predicted_zeros_candidate_view():
     assert abs(val - 3.0) < 1e-12
 
 
+def _vanishing_factors(e, m, b):
+    # the factors 1 - x^(e+l) and 1 - x^l, l = 1..m, that vanish at a
+    # primitive b-th root of unity x, counted one by one
+    up = sum(1 for l in range(1, m + 1) if (e + l) % b == 0)
+    down = sum(1 for l in range(1, m + 1) if l % b == 0)
+    return up, down
+
+
 def _predicted_zeros_by_fractions(N, m, height, include_order_zero):
     # candidate ratios n/(e+k) keyed as Fractions
     out = []
@@ -334,7 +342,7 @@ def _predicted_zeros_by_fractions(N, m, height, include_order_zero):
         }
         for r in ratios:
             t = 2 * math.pi * float(r) / lp
-            up, down = _order_counts(e, m, r.denominator)
+            up, down = _vanishing_factors(e, m, r.denominator)
             if t > height or (up - down < 1 and not include_order_zero):
                 continue
             k = next(l for l in range(1, m + 1) if (e + l) % r.denominator == 0)
@@ -350,6 +358,54 @@ def test_predicted_zeros_match_fraction_keyed_reference():
             for include in (False, True):
                 got = predicted_zeros(N, m, 40.0, include_order_zero=include)
                 assert got == _predicted_zeros_by_fractions(N, m, 40.0, include), (N, m)
+    # seeded sweep: N < 2^63 with up to 5 primes and exponents <= 12,
+    # m <= 8, random and integer heights
+    sweep = random.Random(14)
+    pool = primes(10**5)
+    cases = 0
+    while cases < 150:
+        ps = sweep.sample(pool[: sweep.choice((5, 50, len(pool)))], sweep.randint(1, 5))
+        N = math.prod(p ** sweep.randint(1, 12) for p in ps)
+        if N >= 2**63:
+            continue
+        m = sweep.randint(1, 8)
+        height = float(sweep.randint(1, 40)) if cases % 2 else sweep.uniform(0.01, 40.0)
+        for include in (False, True):
+            got = predicted_zeros(N, m, height, include_order_zero=include)
+            assert got == _predicted_zeros_by_fractions(N, m, height, include), (N, m, height)
+        cases += 1
+
+
+def test_axis_orders_are_the_carry():
+    # the closed form against the literal counts, for every e, m <= 62 and
+    # every b <= e + m + 1; the order is the carry out of the last digit of
+    # e + m in base b, always 0 or 1, so no zero is multiple
+    for e in range(63):
+        for m in range(1, 63):
+            ls = np.arange(1, m + 1)
+            bs = np.arange(1, e + m + 2)[:, None]
+            ups = ((e + ls) % bs == 0).sum(axis=1)
+            downs = (ls % bs == 0).sum(axis=1)
+            for b, up, down in zip(range(1, e + m + 2), ups.tolist(), downs.tolist()):
+                assert _axis_orders(e, m, b) == (up, up - down), (e, m, b)
+                assert up - down == (e % b + m % b >= b), (e, m, b)
+
+
+def test_predicted_zeros_reject_non_finite_height():
+    for height in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="height must be finite"):
+            predicted_zeros(6, 2, height)
+
+
+def test_zero_multiplicity_names_a_non_prime_factor():
+    with pytest.raises(ValueError, match="4 is not a prime factor of 8"):
+        zero_multiplicity(8, 2, 4, 1, 1)
+    with pytest.raises(ValueError, match="3 is not a prime factor of 2"):
+        zero_multiplicity(2, 1, 3, 1, 1)
+    # at every candidate it is the raw count of predicted_zeros
+    for N, m in ((2, 3), (72, 4), (1728, 5)):
+        for z in predicted_zeros(N, m, 30.0, include_order_zero=True):
+            assert zero_multiplicity(N, m, z.p, z.k, z.n) == z.coincidence_count
 
 
 def test_predicted_zeros_sorted_and_deduplicated():
