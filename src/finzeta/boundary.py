@@ -1,5 +1,6 @@
 """Unitarity of G_{k,l}(T) = 1 - T + T^{lk+1} - T^{k(l+1)} (qpoly.build_G):
-the cofactor H_{k,l}, Aberth-Ehrlich roots of an IntPoly, the verdict.
+the cofactor H_{k,l} = G_{k,l} / (1 - T^k) by exact division, Aberth-Ehrlich
+roots of an IntPoly, the verdict.
 
 A polynomial in 1 + T C[T] is unitary when all its roots lie on the unit
 circle.  Unitary G_{k,l} means the Dirichlet series with local factor
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qpoly import IntPoly, build_G, one_minus_q, poly_mul, poly_trim
+from .qpoly import IntPoly, build_G, one_minus_q, poly_div_exact
 
 # ||root| - 1| below this counts as on the unit circle; genuinely off-circle
 # roots of these small integer polynomials sit far outside the window.
@@ -25,18 +26,9 @@ _CONVERGE_TOL = 1e-14
 
 
 def factor_H(k: int, l: int) -> IntPoly:
-    """H_{k,l}(T) = 1 + (T^k - T) sum_{j=0}^{l-1} T^{kj}, the cofactor of
-    (1 - T^k) in G_{k,l}.  The product identity is asserted, not assumed."""
-    g = build_G(k, l)
-    coeffs = [0] * (k * l + 1)
-    coeffs[0] += 1
-    for j in range(l):
-        coeffs[k + k * j] += 1
-        coeffs[1 + k * j] -= 1
-    h = IntPoly(tuple(poly_trim(coeffs)))
-    if poly_mul(one_minus_q(k), h.coeffs) != list(g.coeffs):
-        raise ArithmeticError(f"(1 - T^{k}) * H != G at k={k}, l={l}")
-    return h
+    """H_{k,l}(T) = G_{k,l}(T) / (1 - T^k) = 1 + (T^k - T) sum_{j<l} T^{kj},
+    by exact polynomial division; a remainder would raise ArithmeticError."""
+    return IntPoly(tuple(poly_div_exact(build_G(k, l).coeffs, one_minus_q(k))))
 
 
 def poly_roots(poly: IntPoly) -> list[complex]:

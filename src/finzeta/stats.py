@@ -195,12 +195,7 @@ def eisen1_check(s, trunc: int) -> bool:
         raise ValueError("trunc must be >= 1")
     if isinstance(s, int) and not isinstance(s, bool):
         for n in range(1, trunc + 1):
-            if s >= 0:
-                lhs = sum(divisor_sigma(s, d) * d**s for d in divisors(n))
-            else:
-                lhs = sum(
-                    divisor_sigma(s, d) * Fraction(1, d ** (-s)) for d in divisors(n)
-                )
+            lhs = sum(divisor_sigma(s, d) * Fraction(d) ** s for d in divisors(n))
             if lhs != eval_brute(n, 2, -s, exact=True):
                 return False
         return True

@@ -23,14 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _coerce, _exponent_sum_counts, chain_count, divisors, factorize
-from .qpoly import Signature, gfun_finite
+from .qpoly import Signature, _as_signature, gfun_finite
 
 
 class EulerFactorSingularity(ArithmeticError):
-    """A denominator 1 - p^{-sk} vanished without its matching numerator."""
+    """More denominator factors 1 - p^{-sk} than numerator ones vanished at
+    one prime; the carry of _axis_orders excludes it up to tolerance."""
 
 
-# Both-vanish window for treating an Euler factor as removable.
+# |1 - p^{-sa}| below this counts as a vanishing Euler factor.
 _DEGENERATE_TOL = 1e-12
 
 
@@ -100,13 +101,18 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
 
         prod_p prod_{k=1}^m (1 - p^{-s(e_p+k)}) / (1 - p^{-sk}).
 
-    s = 0 short-circuits to the chain count prod_p C(e_p+m, m).  On the
-    imaginary axis a factor whose numerator and denominator both vanish
-    (within 1e-12) is replaced by its limit (e_p+k)/k; a denominator that
-    vanishes alone raises EulerFactorSingularity.
+    s = 0 short-circuits to the chain count prod_p C(e_p+m, m).
 
     exact=True needs integer s and returns an int (s <= 0) or Fraction
-    (s > 0), as eval_brute does; otherwise returns complex.
+    (s > 0), as eval_brute does.  With X = p^|s| each prime gives the exact
+    integer quotient prod_k (X^{e_p+k} - 1) // prod_k (X^k - 1), a Gaussian
+    binomial in X; for s > 0 the factors' X^{-e_p} multiply to N^{-ms}.
+
+    Otherwise returns complex.  A factor 1 - p^{-sa} within 1e-12 of 0 is
+    replaced by its weight a and counted +1 in a numerator, -1 in a
+    denominator.  Per prime, a positive count returns 0j, zero keeps the
+    product (0/0 gives (e_p+k)/k) and a negative count raises
+    EulerFactorSingularity.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -116,29 +122,31 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
             raise TypeError("exact evaluation requires an integer s")
         if s == 0:
             return chain_count(N, m)
-        total = Fraction(1)
+        value = 1
         for p, e in fact:
-            x = Fraction(1, p**s) if s > 0 else Fraction(p ** (-s))
-            for k in range(1, m + 1):
-                total *= (1 - x ** (e + k)) / (1 - x**k)
-        return total if s > 0 else int(total)
+            X = p ** abs(s)
+            num = math.prod(X ** (e + k) - 1 for k in range(1, m + 1))
+            value *= num // math.prod(X**k - 1 for k in range(1, m + 1))
+        return value if s < 0 else Fraction(value, N ** (m * s))
     z = complex(s)
     if z == 0:
         return complex(chain_count(N, m))
     value = complex(1.0)
     for p, e in fact:
         lp = math.log(p)
+        vanishing = 0
         for k in range(1, m + 1):
             num = 1.0 - cmath.exp(-z * (e + k) * lp)
             den = 1.0 - cmath.exp(-z * k * lp)
+            if abs(num) < _DEGENERATE_TOL:
+                num, vanishing = e + k, vanishing + 1
             if abs(den) < _DEGENERATE_TOL:
-                if abs(num) < _DEGENERATE_TOL:
-                    value *= (e + k) / k
-                    continue
-                raise EulerFactorSingularity(
-                    f"factor k={k} at p={p} is singular at s={z}"
-                )
+                den, vanishing = k, vanishing - 1
             value *= num / den
+        if vanishing > 0:
+            return 0j
+        if vanishing < 0:
+            raise EulerFactorSingularity(f"Euler factor at p={p} is singular at s={z}")
     return value
 
 
@@ -146,7 +154,7 @@ def special_value(N: int, m: int, n: int) -> int:
     """Exact integer Z^m_N(-n) for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return int(eval_brute(N, m, -n, exact=True))
+    return eval_brute(N, m, -n, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +169,7 @@ def eval_multivar(gamma, N: int, t, method: str = "product") -> complex:
     q_j = p^{-t_j}; method="direct" enumerates the integer chains.  The two
     must agree and are kept as separate routes.
     """
-    sig = gamma if isinstance(gamma, Signature) else Signature(tuple(gamma))
+    sig = _as_signature(gamma)
     t = list(t)
     if len(t) != len(sig):
         raise ValueError("need one exponent per signature entry")

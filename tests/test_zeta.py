@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finzeta.arith import _exponent_chains, chain_count, divisor_chains, factorize, primes
+from finzeta.arith import (
+    _exponent_chains,
+    chain_count,
+    divisor_chains,
+    factorize,
+    is_prime,
+    primes,
+)
 from finzeta.qpoly import MultiQPoly, qbinom
 from finzeta.zeta import (
     EulerFactorSingularity,
@@ -192,6 +201,41 @@ def test_euler_equals_brute_exact():
             assert isinstance(b, (int, Fraction))
 
 
+def _largest_prime_power(e: int, bound: int) -> int:
+    p = round(bound ** (1 / e)) + 1
+    while p**e > bound or not is_prime(p):
+        p -= 1
+    return p**e
+
+
+# for each e, the largest p^e <= 2^62: from a prime near 2^62 to 2^62 itself
+_POWERS_NEAR_2_62 = [_largest_prime_power(e, 2**62) for e in range(1, 63)]
+
+
+@st.composite
+def _moduli(draw):
+    """N < 2^63: a prime power near 2^62, or up to 5 small prime powers."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_POWERS_NEAR_2_62))
+    N = 1
+    for p in draw(st.lists(st.sampled_from(primes(200)), max_size=5, unique=True)):
+        room = 0
+        while N * p ** (room + 1) < 2**63:
+            room += 1
+        if room:
+            N *= p ** draw(st.integers(1, room))
+    return N
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_moduli(), st.integers(1, 8), st.integers(-4, 4))
+def test_exact_euler_equals_brute_property(N, m, k):
+    assert N < 2**63
+    b = eval_brute(N, m, k, exact=True)
+    e = eval_euler(N, m, k, exact=True)
+    assert b == e and type(b) is type(e), (N, m, k)
+
+
 def test_exact_routes_agree_in_type():
     # multiply-perfect N have a whole Z^1_N(1) = sigma(N) / N
     cases = [(N, 1, 1) for N in (6, 28, 120, 496, 672)]
@@ -265,13 +309,32 @@ def test_euler_degenerate_factor_cancels():
 
 
 def test_euler_pole_raises():
-    # at s = pi*i/log 2 the k=2 factor of Z^2_2 has vanishing denominator
-    # but numerator 2: a genuine pole of the factor form
+    # at s = pi*i/log 2 the k=2 denominator of Z^2_2 vanishes, and so does
+    # the k=1 numerator: (1-x^2)(1-x^3)/((1-x)(1-x^2)) = 1 + x + x^2 at x = -1
     s = 1j * math.pi / LOG2
-    with pytest.raises(EulerFactorSingularity):
-        eval_euler(2, 2, s)
-    # the finite sum itself is perfectly happy there
+    assert abs(eval_euler(2, 2, s) - 1.0) < 1e-12
     assert abs(eval_brute(2, 2, s) - 1.0) < 1e-12
+    # near s = 2*pi*i/(3 log 2) the pair of Z^3_8 is 1 - 2^{-6s} over
+    # 1 - 2^{-3s}; an offset that puts only the denominator within the
+    # tolerance is the one way left to raise
+    s = complex(3e-13, 2 * math.pi / (3 * LOG2))
+    with pytest.raises(EulerFactorSingularity):
+        eval_euler(8, 3, s)
+
+
+def test_euler_finite_at_every_axis_candidate():
+    # every candidate point, zero or not, where some Euler factor vanishes;
+    # on Re s = 0 each chain term has modulus 1, so chain_count is the scale
+    for N in (2, 4, 6, 8, 12, 18, 30, 36, 72, 96, 180):
+        for m in range(1, 5):
+            scale = chain_count(N, m)
+            for z in predicted_zeros(N, m, 20.0, include_order_zero=True):
+                e = eval_euler(N, m, z.s)
+                b = eval_brute(N, m, z.s)
+                if z.multiplicity:
+                    assert e == 0j and abs(b) <= 1e-12 * scale, (N, m, z)
+                else:
+                    assert abs(e - b) <= 1e-12 * scale, (N, m, z)
 
 
 # --- zero structure ----------------------------------------------------------
