@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator
 
 MAX_INPUT = 1 << 63
@@ -125,12 +125,11 @@ class Factorization:
         object.__setattr__(obj, "entries", entries)
         return obj
 
-    @property
+    @cached_property
     def n(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
+        """prod p^e, computed on the first read and kept in the instance
+        __dict__; not a field, so ==, hash and repr ignore it."""
+        return math.prod(p**e for p, e in self.entries)
 
     def ord(self, p: int) -> int:
         for q, e in self.entries:

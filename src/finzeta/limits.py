@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .arith import mobius
 from .powerful import sieve_step_powerful
-from .zeta import eval_brute
+from .zeta import _brute_table
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin correction.
 _BERNOULLI = (
@@ -187,7 +187,8 @@ def moebius_power_coeffs(c: int, bound: int) -> list[int]:
 def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
     """Both coefficient routes of sum_n Z^m_n(s) n^{-t} = prod_{k=0}^m zeta(sk+t).
 
-    lhs[n] = Z^m_n(s) summed over divisor chains of n, exact (eval_brute).
+    lhs[n] = Z^m_n(s), exact, sieved per prime power from the chain histogram
+    (zeta._brute_table, the brute route of eval_brute).
     rhs[n] = sum over n_0 n_1 ... n_m = n of prod_k n_k^{-sk}, by convolving
     the m+1 factor sequences at -|s|, so every intermediate stays an integer;
     for positive s the result is divided by n^{sm}.
@@ -197,7 +198,7 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError("s must be an integer for exact coefficients")
 
-    lhs = [0] + [eval_brute(n, m, s, exact=True) for n in range(1, bound + 1)]
+    lhs = _brute_table(bound, m, s)
 
     conv = [0] + [1] * bound
     for k in range(1, m + 1):

@@ -16,7 +16,7 @@ from .arith import factorize, primes
 def is_step_powerful(n: int, k: int, l: int) -> bool:
     if n < 1 or k < 1 or l < 1:
         raise ValueError("need n, k, l >= 1")
-    for _, e in factorize(n):
+    for _, e in factorize(n).entries:
         if e >= l * k:
             continue
         if e % k != 0 or e // k > l - 1:

@@ -17,7 +17,7 @@ from .arith import (
     sigma as divisor_sigma,
 )
 from .limits import riemann_zeta
-from .zeta import chain_product_counts, eval_brute
+from .zeta import _brute_table, chain_product_counts, eval_brute
 
 _RATE_NOTE = (
     "no convergence rate is proved for these averages; "
@@ -167,15 +167,17 @@ class EisensteinSeries:
 
 
 def eisenstein_coeffs(m: int, s, trunc: int) -> EisensteinSeries:
-    """Coefficients c_n = Z^m_n(1-s); exact when s is an integer.
+    """Coefficients c_n = Z^m_n(1-s).
 
-    For m = 1 and integer s = k this is the divisor sum sigma_{k-1}(n), the
-    classical weight-k coefficient sequence.
+    For integer s they are exact, sieved per prime power from the chain
+    histogram (zeta._brute_table); otherwise each is a complex
+    eval_brute(n, m, 1 - s).  For m = 1 and integer s = k this is the
+    divisor sum sigma_{k-1}(n), the classical weight-k coefficient sequence.
     """
     if m < 1 or trunc < 1:
         raise ValueError("need m >= 1 and trunc >= 1")
     if isinstance(s, int) and not isinstance(s, bool):
-        coeffs = [0] + [eval_brute(n, m, 1 - s, exact=True) for n in range(1, trunc + 1)]
+        coeffs = _brute_table(trunc, m, 1 - s)
     else:
         w = 1 - complex(s)
         coeffs = [0] + [eval_brute(n, m, w) for n in range(1, trunc + 1)]
@@ -194,9 +196,10 @@ def eisen1_check(s, trunc: int) -> bool:
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     if isinstance(s, int) and not isinstance(s, bool):
+        table = _brute_table(trunc, 2, -s)
         for n in range(1, trunc + 1):
             lhs = sum(divisor_sigma(s, d) * Fraction(d) ** s for d in divisors(n))
-            if lhs != eval_brute(n, 2, -s, exact=True):
+            if lhs != table[n]:
                 return False
         return True
     z = complex(s)

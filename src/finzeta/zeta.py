@@ -22,7 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _coerce, _exponent_sum_counts, chain_count, divisors, factorize
+from .arith import (
+    _coerce,
+    _exponent_sum_counts,
+    chain_count,
+    divisors,
+    factorize,
+    multiplicative_sieve,
+)
 from .qpoly import Signature, _as_signature, gfun_finite
 
 
@@ -64,6 +71,19 @@ def _prime_terms(p: int, e: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(h)) * math.log(p), h
 
 
+def _exact_local(p: int, e: int, m: int, s: int) -> int:
+    """The integer per-prime factor of exact eval_brute at p^e.
+
+    Horner in x = p^|s| over the chain histogram h = _exponent_sum_counts(e, m):
+    sum_t h(t) x^t for s <= 0; for s > 0 the numerator sum_t h(t) x^(e m - t)
+    of the factor over p^(s e m).
+    """
+    h, x, acc = _exponent_sum_counts(e, m), p ** abs(s), 0
+    for k in h if s > 0 else reversed(h):
+        acc = acc * x + k
+    return acc
+
+
 def eval_brute(N: int, m: int, s, exact: bool = False):
     """Z^m_N(s) by direct summation over divisor chains.
 
@@ -72,21 +92,15 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     recurrence; float monomials are exp(-s t log p).
 
     exact=True needs integer s and returns an int (s <= 0) or Fraction
-    (s > 0); otherwise returns complex.
+    (s > 0): the product of the integer factors _exact_local(p, e_p, m, s),
+    divided by N^(ms) once for s > 0.  Otherwise returns complex.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if exact:
         if isinstance(s, bool) or not isinstance(s, int):
             raise TypeError("exact evaluation requires an integer s")
-        value = 1
-        for p, e in factorize(N):
-            # Horner in x = p^|s|: sum_t h(t) x^t for s <= 0; for s > 0 the
-            # numerator sum_t h(t) x^(e m - t) of the factor over p^(s e m)
-            h, x, acc = _exponent_sum_counts(e, m), p ** abs(s), 0
-            for k in h if s > 0 else reversed(h):
-                acc = acc * x + k
-            value *= acc
+        value = math.prod(_exact_local(p, e, m, s) for p, e in factorize(N))
         return value if s <= 0 else Fraction(value, N ** (m * s))
     z = complex(s)
     value = complex(1.0)
@@ -94,6 +108,22 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
         tlog, h = _prime_terms(p, e, m)
         value *= complex(np.dot(h, np.exp(-z * tlog)))
     return value
+
+
+def _brute_table(bound: int, m: int, s: int) -> list:
+    """[0, Z^m_1(s), ..., Z^m_bound(s)] for integer s, each slot equal in
+    value and type to eval_brute(n, m, s, exact=True).
+
+    n -> Z^m_n(s) is multiplicative, so one multiplicative_sieve evaluates
+    _exact_local once per prime power p^e <= bound; for s > 0 slot n is
+    divided by n^(ms) once, as eval_brute ends.
+    """
+    vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, s))
+    vals[0] = 0
+    if s > 0:
+        for n in range(1, bound + 1):
+            vals[n] = Fraction(vals[n], n ** (m * s))
+    return vals
 
 
 def eval_euler(N: int, m: int, s, exact: bool = False):

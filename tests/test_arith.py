@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import struct
 import warnings
@@ -172,6 +173,21 @@ def test_factorization_accessors():
     f = factorize(360)
     assert f.n == 360
     assert f.ord(2) == 3 and f.ord(3) == 2 and f.ord(7) == 0
+
+
+def test_factorization_n_is_cached_outside_the_fields():
+    for entries in ((), ((2, 3), (3, 2), (5, 1)), ((3037000493, 2),), ((2, 62),)):
+        f = Factorization(entries)
+        before = (hash(f), repr(f))
+        assert f.n == math.prod(p**e for p, e in entries)
+        assert "n" in vars(f)
+        # a cached n is not a field: ==, hash and repr stay as they were
+        assert (hash(f), repr(f)) == before
+        assert f == Factorization(entries) and hash(f) == hash(Factorization(entries))
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and back.entries == f.entries and back.n == f.n
+        assert repr(back) == repr(f)
+    assert factorize(720).n == 720 and factorize(1).n == 1
 
 
 def test_divisor_chains_examples():

@@ -21,7 +21,7 @@ from finzeta.limits import (
 )
 from finzeta.powerful import sieve_step_powerful
 from finzeta.qpoly import QSeries
-from finzeta.zeta import chain_product_counts
+from finzeta.zeta import chain_product_counts, eval_brute
 
 rng = random.Random(0x11F5)
 
@@ -222,6 +222,18 @@ def test_zeta_m_st_sweep_small():
         for s in (-2, -1, 0, 1, 2):
             pair = zeta_m_st_coeffs(m, s, 800)
             assert pair.agree(), (m, s)
+
+
+def test_zeta_m_st_lhs_equals_per_n_brute():
+    # the sieved lhs against one exact eval_brute per n, in value and type
+    for m in (1, 2, 3, 5):
+        for s in (-3, -1, 0, 1, 2):
+            for bound in (1, 2, 97, 360):
+                pair = zeta_m_st_coeffs(m, s, bound)
+                want = [0] + [eval_brute(n, m, s, exact=True) for n in range(1, bound + 1)]
+                assert list(pair.lhs.coeffs) == want, (m, s, bound)
+                assert list(map(type, pair.lhs.coeffs)) == list(map(type, want)), (m, s, bound)
+                assert pair.agree(), (m, s, bound)
 
 
 # --- powerful-number factorizations -------------------------------------------

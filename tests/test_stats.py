@@ -170,6 +170,17 @@ def test_eisenstein_sigma_identification():
             assert series[n] == sigma(k - 1, n)
 
 
+def test_exact_eisenstein_equals_per_n_brute():
+    # the sieved coefficients against one exact eval_brute per n, in value and type
+    for m in (1, 2, 4):
+        for s in (-2, 0, 1, 2, 5):
+            for trunc in (1, 2, 97, 360):
+                series = eisenstein_coeffs(m, s, trunc)
+                want = [0] + [eval_brute(n, m, 1 - s, exact=True) for n in range(1, trunc + 1)]
+                assert list(series.coeffs) == want, (m, s, trunc)
+                assert list(map(type, series.coeffs)) == list(map(type, want)), (m, s, trunc)
+
+
 def test_eisenstein_complex_parameter():
     s = 1.5 + 0.5j
     series = eisenstein_coeffs(1, s, 12)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finzeta.arith import (
@@ -22,6 +22,7 @@ from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
     _axis_orders,
+    _brute_table,
     _exponent_sum_counts,
     chain_product_counts,
     circle_order_estimate,
@@ -234,6 +235,33 @@ def test_exact_euler_equals_brute_property(N, m, k):
     b = eval_brute(N, m, k, exact=True)
     e = eval_euler(N, m, k, exact=True)
     assert b == e and type(b) is type(e), (N, m, k)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 6), st.integers(-4, 4))
+@example(1, 1, 0)
+@example(1, 4, 3)
+@example(2, 2, -1)
+@example(3000, 1, -1)  # every value below 2^53: the sieve's float64 route
+@example(3000, 2, 1)  # numerators below 2^53, then the division by n^(ms)
+@example(3000, 6, -4)  # values past 2^53: the scalar route
+@example(3000, 5, 4)
+@example(3000, 3, 0)
+def test_brute_table_equals_eval_brute_property(bound, m, s):
+    table = _brute_table(bound, m, s)
+    assert len(table) == bound + 1 and table[0] == 0
+    for n in range(1, bound + 1):
+        want = eval_brute(n, m, s, exact=True)
+        assert table[n] == want and type(table[n]) is type(want), (n, m, s)
+
+
+def test_brute_table_examples_cover_both_sieve_routes():
+    # the sieve takes its float64 route only while every product stays
+    # below 2^53; the pinned examples above fall on both sides of it
+    assert max(_brute_table(3000, 1, -1)) < 2**53
+    assert max(v.numerator * 3000**2 for v in _brute_table(3000, 2, 1)[1:]) < 2**53
+    assert max(_brute_table(3000, 6, -4)) > 2**53
+    assert max(_brute_table(3000, 5, 4)[1:]).numerator > 2**53
 
 
 def test_exact_routes_agree_in_type():
