@@ -95,13 +95,9 @@ def zeta_m_inf_truncated(m: int, s, bound: int) -> float:
     if not s > 1.0:
         raise ValueError("truncated sum only sensible for s > 1")
     level = [0.0] + [n**-s for n in range(1, bound + 1)]
+    ones = [0] + [1] * bound
     for _ in range(m - 1):
-        sums = [0.0] * (bound + 1)
-        for d in range(1, bound + 1):
-            v = level[d]
-            if v:
-                for n in range(d, bound + 1, d):
-                    sums[n] += v
+        sums = dirichlet_convolve(level, ones)
         level = [0.0] + [n**-s * sums[n] for n in range(1, bound + 1)]
     return math.fsum(level[1:])
 

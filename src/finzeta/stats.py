@@ -10,14 +10,12 @@ from fractions import Fraction
 from .arith import (
     _exponent_sum_counts,
     bounded_partition_count,
-    divisors,
     factorize,
     multiplicative_lift,
     multiplicative_sieve,
-    sigma as divisor_sigma,
 )
-from .limits import riemann_zeta
-from .zeta import _brute_table, chain_product_counts, eval_brute
+from .limits import dirichlet_convolve, riemann_zeta
+from .zeta import _brute_table, chain_product_counts
 
 _RATE_NOTE = (
     "no convergence rate is proved for these averages; "
@@ -167,45 +165,34 @@ class EisensteinSeries:
 
 
 def eisenstein_coeffs(m: int, s, trunc: int) -> EisensteinSeries:
-    """Coefficients c_n = Z^m_n(1-s).
-
-    For integer s they are exact, sieved per prime power from the chain
-    histogram (zeta._brute_table); otherwise each is a complex
-    eval_brute(n, m, 1 - s).  For m = 1 and integer s = k this is the
-    divisor sum sigma_{k-1}(n), the classical weight-k coefficient sequence.
+    """Coefficients c_n = Z^m_n(1-s), tabulated for every n <= trunc by one
+    multiplicative sieve (zeta._brute_table): exact for integer s, complex
+    otherwise.  For m = 1 and integer s = k this is the divisor sum
+    sigma_{k-1}(n), the classical weight-k coefficient sequence.
     """
     if m < 1 or trunc < 1:
         raise ValueError("need m >= 1 and trunc >= 1")
-    if isinstance(s, int) and not isinstance(s, bool):
-        coeffs = _brute_table(trunc, m, 1 - s)
-    else:
-        w = 1 - complex(s)
-        coeffs = [0] + [eval_brute(n, m, w) for n in range(1, trunc + 1)]
-    return EisensteinSeries(m, s, trunc, tuple(coeffs))
-
-
-def _sigma_complex(z: complex, n: int) -> complex:
-    return sum(d**z for d in divisors(n))
+    return EisensteinSeries(m, s, trunc, tuple(_brute_table(trunc, m, 1 - s)))
 
 
 def eisen1_check(s, trunc: int) -> bool:
     """Check sum_{d | n} sigma_s(d) d^s = Z^2_n(-s) for all n <= trunc.
 
-    Exact comparison for integer s, 1e-9 relative tolerance otherwise.
+    The lhs convolves the powers d^s with 1 twice, factoring no n, so it
+    stays independent of the sieved rhs.  Exact comparison for integer s,
+    1e-9 relative tolerance otherwise; non-finite s raises ValueError.
     """
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
-    if isinstance(s, int) and not isinstance(s, bool):
-        table = _brute_table(trunc, 2, -s)
-        for n in range(1, trunc + 1):
-            lhs = sum(divisor_sigma(s, d) * Fraction(d) ** s for d in divisors(n))
-            if lhs != table[n]:
-                return False
-        return True
-    z = complex(s)
-    for n in range(1, trunc + 1):
-        lhs = sum(_sigma_complex(z, d) * d**z for d in divisors(n))
-        rhs = eval_brute(n, 2, -z)
-        if abs(lhs - rhs) > 1e-9 * (1 + abs(rhs)):
-            return False
-    return True
+    rhs = _brute_table(trunc, 2, -s)
+    exact = isinstance(s, int)
+    z = s if exact else complex(s)
+    # ints for s >= 0, Fractions for integer s < 0, complex otherwise
+    base = Fraction if exact and s < 0 else int
+    power = [0] + [base(d) ** z for d in range(1, trunc + 1)]
+    ones = [0] + [1] * trunc
+    sigma_s = dirichlet_convolve(ones, power)
+    lhs = dirichlet_convolve(ones, [a * b for a, b in zip(sigma_s, power)])
+    if exact:
+        return lhs[1:] == rhs[1:]
+    return all(abs(a - b) <= 1e-9 * (1 + abs(b)) for a, b in zip(lhs[1:], rhs[1:]))

@@ -84,6 +84,19 @@ def _exact_local(p: int, e: int, m: int, s: int) -> int:
     return acc
 
 
+def _finite(s) -> complex:
+    z = complex(s)
+    if not cmath.isfinite(z):
+        raise ValueError(f"s must be finite, got {s}")
+    return z
+
+
+def _float_local(p: int, e: int, m: int, z: complex) -> complex:
+    """Float eval_brute's per-prime factor sum_t h(t) p^(-zt) at p^e."""
+    tlog, h = _prime_terms(p, e, m)
+    return complex(np.dot(h, np.exp(-z * tlog)))
+
+
 def eval_brute(N: int, m: int, s, exact: bool = False):
     """Z^m_N(s) by direct summation over divisor chains.
 
@@ -93,7 +106,8 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
 
     exact=True needs integer s and returns an int (s <= 0) or Fraction
     (s > 0): the product of the integer factors _exact_local(p, e_p, m, s),
-    divided by N^(ms) once for s > 0.  Otherwise returns complex.
+    divided by N^(ms) once for s > 0.  Otherwise returns the complex product
+    of the factors _float_local; a non-finite s raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -102,27 +116,29 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
             raise TypeError("exact evaluation requires an integer s")
         value = math.prod(_exact_local(p, e, m, s) for p, e in factorize(N))
         return value if s <= 0 else Fraction(value, N ** (m * s))
-    z = complex(s)
+    z = _finite(s)
     value = complex(1.0)
     for p, e in factorize(N):
-        tlog, h = _prime_terms(p, e, m)
-        value *= complex(np.dot(h, np.exp(-z * tlog)))
+        value *= _float_local(p, e, m, z)
     return value
 
 
-def _brute_table(bound: int, m: int, s: int) -> list:
-    """[0, Z^m_1(s), ..., Z^m_bound(s)] for integer s, each slot equal in
-    value and type to eval_brute(n, m, s, exact=True).
-
-    n -> Z^m_n(s) is multiplicative, so one multiplicative_sieve evaluates
-    _exact_local once per prime power p^e <= bound; for s > 0 slot n is
-    divided by n^(ms) once, as eval_brute ends.
+def _brute_table(bound: int, m: int, s) -> list:
+    """[0, Z^m_1(s), ..., Z^m_bound(s)], multiplicative in n, by one
+    multiplicative_sieve of eval_brute's per-prime factor.  For integer s it
+    is _exact_local, and slot n, divided by n^(ms) once for s > 0, equals
+    eval_brute(n, m, s, exact=True) in value and type.  Else it is
+    _float_local, multiplied with the largest prime innermost.
     """
-    vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, s))
+    if isinstance(s, int):
+        vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, s))
+        if s > 0:
+            for n in range(1, bound + 1):
+                vals[n] = Fraction(vals[n], n ** (m * s))
+    else:
+        z = _finite(s)
+        vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
     vals[0] = 0
-    if s > 0:
-        for n in range(1, bound + 1):
-            vals[n] = Fraction(vals[n], n ** (m * s))
     return vals
 
 
@@ -138,10 +154,10 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
     integer quotient prod_k (X^{e_p+k} - 1) // prod_k (X^k - 1), a Gaussian
     binomial in X; for s > 0 the factors' X^{-e_p} multiply to N^{-ms}.
 
-    Otherwise returns complex.  A factor 1 - p^{-sa} within 1e-12 of 0 is
-    replaced by its weight a and counted +1 in a numerator, -1 in a
-    denominator.  Per prime, a positive count returns 0j, zero keeps the
-    product (0/0 gives (e_p+k)/k) and a negative count raises
+    Otherwise returns complex; non-finite s raises.  A factor 1 - p^{-sa}
+    within 1e-12 of 0 is replaced by its weight a and counted +1 in a
+    numerator, -1 in a denominator.  Per prime, a positive count returns 0j,
+    zero keeps the product (0/0 gives (e_p+k)/k) and a negative count raises
     EulerFactorSingularity.
     """
     if m < 1:
@@ -158,7 +174,7 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
             num = math.prod(X ** (e + k) - 1 for k in range(1, m + 1))
             value *= num // math.prod(X**k - 1 for k in range(1, m + 1))
         return value if s < 0 else Fraction(value, N ** (m * s))
-    z = complex(s)
+    z = _finite(s)
     if z == 0:
         return complex(chain_count(N, m))
     value = complex(1.0)
@@ -346,8 +362,8 @@ def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
     sig = np.asarray(sigmas, dtype=np.float64)
     tvals = np.asarray(ts, dtype=np.float64)
     for name, arr in (("sigmas", sig), ("ts", tvals)):
-        if arr.size == 0:
-            raise ValueError(f"grid_min_abs needs a nonempty {name}")
+        if arr.size == 0 or not np.isfinite(arr).all():
+            raise ValueError(f"grid_min_abs needs a nonempty, finite {name}")
     terms = [_prime_terms(p, e, m) for p, e in factorize(N)]
     amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
     best = math.inf

@@ -90,6 +90,22 @@ def test_zeta_m_inf_truncated_converges():
     assert zeta_m_inf_truncated(2, 2.0, 500) < zeta_m_inf_truncated(2, 2.0, 1000)
 
 
+def test_zeta_m_inf_truncated_equals_multiples_loop():
+    # each level sums its divisors' terms in ascending order, bit for bit
+    def reference(m, s, bound):
+        level = [0.0] + [n**-s for n in range(1, bound + 1)]
+        for _ in range(m - 1):
+            sums = [0.0] * (bound + 1)
+            for d in range(1, bound + 1):
+                for n in range(d, bound + 1, d):
+                    sums[n] += level[d]
+            level = [0.0] + [n**-s * sums[n] for n in range(1, bound + 1)]
+        return math.fsum(level[1:])
+
+    for m, s, bound in ((1, 2.0, 1), (2, 2.0, 3000), (3, 2.5, 2000), (4, 1.3, 1500)):
+        assert zeta_m_inf_truncated(m, s, bound) == reference(m, s, bound), (m, s, bound)
+
+
 def test_multiple_zeta_partial_sums():
     # sum_{n<=X} Z^m_n(2) n^{-2} -> prod_{k=1}^{m+1} zeta(2k), tail <= 2/X
     X = 10**5

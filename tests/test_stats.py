@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from finzeta import stats
 from finzeta.arith import divisors, factorize, sigma
 from finzeta.limits import riemann_zeta
 from finzeta.stats import (
@@ -214,3 +215,17 @@ def test_eisen1_check_invariant():
 def test_eisen1_check_negative_s_exact():
     assert eisen1_check(-1, 60)
     assert eisen1_check(0, 60)
+
+
+@pytest.mark.parametrize("s", [2, -1, 1 + 1j])
+def test_eisen1_check_fails_on_a_perturbed_slot(monkeypatch, s):
+    sieved = stats._brute_table
+
+    def perturbed(bound, m, w):
+        table = sieved(bound, m, w)
+        table[60] *= 1 + 1e-6
+        return table
+
+    assert eisen1_check(s, 100)
+    monkeypatch.setattr(stats, "_brute_table", perturbed)
+    assert not eisen1_check(s, 100)

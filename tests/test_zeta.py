@@ -18,6 +18,7 @@ from finzeta.arith import (
     primes,
 )
 from finzeta.qpoly import MultiQPoly, qbinom
+from finzeta.stats import eisen1_check, eisenstein_coeffs
 from finzeta.zeta import (
     EulerFactorSingularity,
     ZeroLocation,
@@ -262,6 +263,44 @@ def test_brute_table_examples_cover_both_sieve_routes():
     assert max(v.numerator * 3000**2 for v in _brute_table(3000, 2, 1)[1:]) < 2**53
     assert max(_brute_table(3000, 6, -4)) > 2**53
     assert max(_brute_table(3000, 5, 4)[1:]).numerator > 2**53
+
+
+def test_float_brute_table_equals_eval_brute():
+    # the same per-prime factors, associated with the largest prime innermost
+    sweep = random.Random(0xF10A)
+    for m in range(1, 5):
+        for trunc in (1, 2, 210, 360):
+            s = complex(sweep.uniform(-3, 3), sweep.uniform(-10, 10))
+            table = _brute_table(trunc, m, s)
+            assert len(table) == trunc + 1 and table[1] == complex(1.0)
+            for n in range(1, trunc + 1):
+                want = eval_brute(n, m, s)
+                assert type(table[n]) is complex, (n, m, s)
+                assert abs(table[n] - want) <= 2e-15 * abs(want), (n, m, s)
+
+
+def _grid_point(s):
+    # grid axes are real: 1+nan i enters as its nan part
+    return s.imag if isinstance(s, complex) else s
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: eval_brute(6, 2, s),
+        lambda s: eval_euler(6, 2, s),
+        lambda s: _brute_table(50, 2, s),
+        lambda s: eisenstein_coeffs(2, s, 50),
+        lambda s: eisen1_check(s, 50),
+        lambda s: grid_min_abs(6, 2, [_grid_point(s)], [1.0]),
+        lambda s: grid_min_abs(6, 2, [0.5], [1.0, _grid_point(s)]),
+    ],
+    ids=["eval_brute", "eval_euler", "brute_table", "eisenstein", "eisen1", "sigmas", "ts"],
+)
+def test_non_finite_point_raises(entry, s):
+    with pytest.raises(ValueError):
+        entry(s)
 
 
 def test_exact_routes_agree_in_type():
