@@ -119,16 +119,18 @@ class Factorization:
             last = p
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> Factorization:
-        """Skip __post_init__; for factorize, which proved every p prime."""
+    def _trusted(cls, entries: tuple[tuple[int, int], ...], n: int) -> Factorization:
+        """Skip __post_init__ and store n = prod p^e as computed; for
+        factorize, which proved every p prime and knows n."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "entries", entries)
+        obj.__dict__["n"] = n
         return obj
 
     @cached_property
     def n(self) -> int:
-        """prod p^e, computed on the first read and kept in the instance
-        __dict__; not a field, so ==, hash and repr ignore it."""
+        """prod p^e, kept in the instance __dict__ (by factorize at once, else
+        on the first read); not a field, so ==, hash and repr ignore it."""
         return math.prod(p**e for p, e in self.entries)
 
     def ord(self, p: int) -> int:
@@ -156,11 +158,12 @@ def factorize(n: int) -> Factorization:
         raise TypeError(f"expected int, got {type(n).__name__}")
     if n < 1 or n >= MAX_INPUT:
         raise ValueError(f"n must satisfy 1 <= n < 2**63, got {n}")
+    whole = int(n)  # kept as Factorization.n, a plain int even for a bool
     if n >= 1 << 32:
         # a pure square or cube factors through its root, without trial division
         for k, r in ((2, math.isqrt(n)), (3, round(n ** (1 / 3)))):
             if r**k == n:
-                return Factorization._trusted(tuple((p, e * k) for p, e in factorize(r)))
+                return Factorization._trusted(tuple((p, e * k) for p, e in factorize(r)), whole)
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
@@ -187,7 +190,7 @@ def factorize(n: int) -> Factorization:
             continue
         d = _pollard_rho(v)
         stack += [d, v // d]
-    return Factorization._trusted(tuple(sorted(out.items())))
+    return Factorization._trusted(tuple(sorted(out.items())), whole)
 
 
 def _coerce(N) -> Factorization:

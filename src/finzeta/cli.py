@@ -477,17 +477,21 @@ def main(argv=None) -> int:
             return 2
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
+    hint = "; use --exact for an integer s" if args.command == "eval" else ""
     try:
-        # an overflow is reported once, below, as a non-finite result
+        # an overflow that no route raises as FloatOverflowError is reported
+        # once, below, as a non-finite result
         with np.errstate(over="ignore", invalid="ignore"):
             report, code = args.handler(args)
+    except zeta.FloatOverflowError as exc:
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # parameters are finite once parsed; a result cell may overflow to inf or nan
     cells = [v for row in report["results"] for v in row.values()]
     if not all(cmath.isfinite(v) for v in cells if isinstance(v, (float, complex))):
-        hint = "; use --exact for an integer s" if args.command == "eval" else ""
         print(f"error: result is not finite{hint}", file=sys.stderr)
         return 2
     try:

@@ -14,8 +14,10 @@ not "simplify" one side into the other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from typing import Sequence
 
 from .arith import mobius
@@ -142,41 +144,78 @@ class CoeffPair:
 
 
 def dirichlet_convolve(a: Sequence, b: Sequence) -> list:
-    """(a * b)(n) = sum_{de=n} a(d) b(e) on 1-based arrays (slot 0 unused)."""
+    """(a * b)(n) = sum_{de=n} a(d) b(e) on 1-based arrays (slot 0 unused).
+
+    Only nonzero terms are added, and each out[n] takes them in ascending d,
+    so the result has the value, type and float bits of that literal sum
+    (an empty sum is the int 0).  The nonzero supports are found once.  A
+    zero-free operand lets whole rows of terms go in as list slices: rows
+    d <= r over b when b is zero-free, then rows e <= bound // (r + 1) over
+    a[r+1..] in descending e (so d still ascends) when a is, with
+    r = isqrt(bound) when both are.  Otherwise the supports are paired.
+    """
     bound = min(len(a), len(b)) - 1
     out = [0] * (bound + 1)
-    support = [(e, b[e]) for e in range(1, bound + 1) if b[e]]
-    for d in range(1, bound + 1):
+    if bound < 1:
+        return out
+    a_free, b_free = all(islice(a, 1, bound + 1)), all(islice(b, 1, bound + 1))
+    indices = range(1, bound + 1)
+    sa = indices if a_free else list(compress(indices, islice(a, 1, None)))
+    sb = indices if b_free else list(compress(indices, islice(b, 1, None)))
+    if not (a_free or b_free):
+        _add_products(out, zip(sa, map(a.__getitem__, sa)), [(e, b[e]) for e in sb])
+        return out
+    r = math.isqrt(bound) if a_free and b_free else bound if b_free else 0
+    b_row = b[1 : bound + 1]
+    for d in sa[: bisect_right(sa, r)]:
         ad = a[d]
-        if ad:
-            for e, be in support:
-                if d * e > bound:
-                    break
-                out[d * e] += ad * be
+        out[d::d] = [o + ad * be for o, be in zip(out[d::d], b_row)]
+    a_row = a[r + 1 : bound + 1]
+    for e in reversed(sb[: bisect_right(sb, bound // (r + 1))]):
+        be = b[e]
+        out[(r + 1) * e :: e] = [o + ad * be for o, ad in zip(out[(r + 1) * e :: e], a_row)]
     return out
+
+
+def _add_products(out: list, a_terms, b_terms: list) -> None:
+    """out[d e] += a_d b_e for every (d, a_d) of a_terms and (e, b_e) of
+    b_terms, ascending in e, with d e < len(out)."""
+    bound = len(out) - 1
+    for d, ad in a_terms:
+        for e, be in b_terms:
+            if d * e > bound:
+                break
+            out[d * e] += ad * be
+
+
+def _power_support(c: int, bound: int, weight=None):
+    """(t^c, 1) or, given weight, (t^c, weight(t)) for every t^c <= bound
+    in ascending order, zero weights left out: the nonzero coefficients of
+    zeta(cs), or of 1/zeta(cs) with weight = mobius."""
+    if c < 1:
+        raise ValueError("need c >= 1")
+    t = 1
+    while t**c <= bound:
+        w = 1 if weight is None else weight(t)
+        if w:
+            yield t**c, w
+        t += 1
 
 
 def power_indicator_coeffs(c: int, bound: int) -> list[int]:
     """Coefficients of zeta(cs): 1 at perfect c-th powers, else 0."""
-    if c < 1:
-        raise ValueError("need c >= 1")
-    out = [0] * (bound + 1)
-    t = 1
-    while t**c <= bound:
-        out[t**c] = 1
-        t += 1
-    return out
+    return _densify(_power_support(c, bound), bound)
 
 
 def moebius_power_coeffs(c: int, bound: int) -> list[int]:
     """Coefficients of 1/zeta(cs): mu(t) at t^c, else 0."""
-    if c < 1:
-        raise ValueError("need c >= 1")
+    return _densify(_power_support(c, bound, mobius), bound)
+
+
+def _densify(support, bound: int) -> list:
     out = [0] * (bound + 1)
-    t = 1
-    while t**c <= bound:
-        out[t**c] = mobius(t)
-        t += 1
+    for n, w in support:
+        out[n] = w
     return out
 
 
@@ -216,9 +255,11 @@ def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
     lhs: literal enumeration of the chains n_{l+1} | n_l^k, n_l | n_{l-1},
     ..., n_2 | n_1 with weight n_1^k ... n_l^k n_{l+1} <= bound, one count
     per chain.  It runs from the smallest link upward: n_l = a divides
-    every n_i, so the weight is at least a^{kl} n_{l+1}.  For each such a
-    it takes n_{l+1} = c with c | a^k and c <= min(a^k, bound / a^{kl}),
-    then n_{l-1}, ..., n_1 from the multiples of the link below, stopping
+    every n_i, so the weight is at least a^{kl} n_{l+1}.  For k = 1,
+    n_{l+1} = c divides a too, so it takes each c and then a from the
+    multiples of c; for k >= 2 it takes each a and then every c | a^k with
+    c <= min(a^k, bound / a^{kl}), by a divisibility test.  Then come
+    n_{l-1}, ..., n_1 from the multiples of the link below, stopping
     once the remaining links, each at least the current one, would
     overshoot the bound.  Nothing here factors n or uses the step-powerful
     sieve, so the lhs is the definition of the series and stays
@@ -241,13 +282,20 @@ def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
                 break
             extend(level - 1, n, weight * n**k)
 
-    a = 1
-    while a ** (k * l) <= bound:
-        top = a**k
-        for c in range(1, min(top, bound // a ** (k * l)) + 1):
-            if top % c == 0:
-                extend(l - 1, a, top * c)
-        a += 1
+    if k == 1:
+        # c divides n_l = a, so a runs over the multiples of c like the links above
+        c = 1
+        while c ** (l + 1) <= bound:
+            extend(l, c, c)
+            c += 1
+    else:
+        a = 1
+        while a ** (k * l) <= bound:
+            top = a**k
+            for c in range(1, min(top, bound // a ** (k * l)) + 1):
+                if top % c == 0:
+                    extend(l - 1, a, top * c)
+            a += 1
 
     conv = [0] * (bound + 1)
     for n in sieve_step_powerful(bound, k, l):
@@ -262,8 +310,8 @@ def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
 
 def F_kl_coeffs(k: int, l: int, bound: int) -> CoeffPair:
     """f_{k,l} indicator coefficients; for k = 2 the rhs carries the closed
-    form zeta(2s) zeta((2l+1)s) / zeta(2(2l+1)s) expanded by Moebius-twisted
-    convolution, else rhs is None.
+    form zeta(2s) zeta((2l+1)s) / zeta(2(2l+1)s), expanded from the nonzero
+    terms of the three series alone, else rhs is None.
     """
     if k < 1 or l < 1 or bound < 1:
         raise ValueError("need k, l, bound >= 1")
@@ -272,10 +320,11 @@ def F_kl_coeffs(k: int, l: int, bound: int) -> CoeffPair:
         sieve[n] = 1
     closed = None
     if k == 2:
-        conv = dirichlet_convolve(
-            power_indicator_coeffs(2, bound),
-            power_indicator_coeffs(2 * l + 1, bound),
-        )
-        conv = dirichlet_convolve(conv, moebius_power_coeffs(2 * (2 * l + 1), bound))
+        # zeta(2s) zeta(odd s) as every product u v of the two supports
+        odd = 2 * l + 1
+        squares = _power_support(2, bound)
+        zeta_terms = [(u * v, 1) for u, _ in squares for v, _ in _power_support(odd, bound // u)]
+        conv = [0] * (bound + 1)
+        _add_products(conv, zeta_terms, list(_power_support(2 * odd, bound, mobius)))
         closed = DirichletCoeffs(bound, tuple(conv))
     return CoeffPair(DirichletCoeffs(bound, tuple(sieve)), closed)

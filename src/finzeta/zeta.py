@@ -13,8 +13,10 @@ logarithm, so there is no branch ambiguity.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +40,18 @@ class EulerFactorSingularity(ArithmeticError):
     one prime; the carry of _axis_orders excludes it up to tolerance."""
 
 
+class FloatOverflowError(ValueError):
+    """A float route's value at a finite s overflows to inf or nan."""
+
+
 # |1 - p^{-sa}| below this counts as a vanishing Euler factor.
 _DEGENERATE_TOL = 1e-12
+
+# Below these |s| t log p and -Re(s) t log p, numpy's -s * tlog and its exp
+# cannot overflow.
+_PRODUCT_MAX = 1e300
+_EXP_MAX = 700.0
+_NO_GUARD = contextlib.nullcontext()
 
 
 def chain_product_counts(N, m: int) -> dict[int, int]:
@@ -97,6 +109,16 @@ def _float_local(p: int, e: int, m: int, z: complex) -> complex:
     return complex(np.dot(h, np.exp(-z * tlog)))
 
 
+def _overflow_guard(z: complex, top: float):
+    """A context for _float_local at every t log p <= top: numpy's overflow
+    warnings off once |z| top or -Re(z) top passes _PRODUCT_MAX or _EXP_MAX,
+    else nothing.  A factor that overflows is not finite, and neither is any
+    product with it, so the caller checks only its final value."""
+    if abs(z) * top < _PRODUCT_MAX and -z.real * top < _EXP_MAX:
+        return _NO_GUARD
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def eval_brute(N: int, m: int, s, exact: bool = False):
     """Z^m_N(s) by direct summation over divisor chains.
 
@@ -107,7 +129,8 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     exact=True needs integer s and returns an int (s <= 0) or Fraction
     (s > 0): the product of the integer factors _exact_local(p, e_p, m, s),
     divided by N^(ms) once for s > 0.  Otherwise returns the complex product
-    of the factors _float_local; a non-finite s raises ValueError.
+    of the factors _float_local; a non-finite s raises ValueError, and a
+    product that overflows raises FloatOverflowError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -117,27 +140,40 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
         value = math.prod(_exact_local(p, e, m, s) for p, e in factorize(N))
         return value if s <= 0 else Fraction(value, N ** (m * s))
     z = _finite(s)
+    fact = factorize(N)
     value = complex(1.0)
-    for p, e in factorize(N):
-        value *= _float_local(p, e, m, z)
+    # e m log p <= m log N for every p | N
+    with _overflow_guard(z, m * math.log(N)):
+        for p, e in fact:
+            value *= _float_local(p, e, m, z)
+    if not cmath.isfinite(value):
+        raise FloatOverflowError(f"Z^{m}_N(s) overflows a float at N={N}, s={z}")
     return value
 
 
 def _brute_table(bound: int, m: int, s) -> list:
     """[0, Z^m_1(s), ..., Z^m_bound(s)], multiplicative in n, by one
-    multiplicative_sieve of eval_brute's per-prime factor.  For integer s it
-    is _exact_local, and slot n, divided by n^(ms) once for s > 0, equals
-    eval_brute(n, m, s, exact=True) in value and type.  Else it is
-    _float_local, multiplied with the largest prime innermost.
+    multiplicative_sieve of eval_brute's per-prime factor.  For integral s
+    (any type operator.index takes) it is _exact_local, and slot n, divided
+    by n^(ms) once for s > 0, equals eval_brute(n, m, int(s), exact=True) in
+    value and type.  Else it is _float_local, multiplied with the largest
+    prime innermost; a slot that overflows raises FloatOverflowError.
     """
-    if isinstance(s, int):
+    try:
+        s, exact = operator.index(s), True
+    except TypeError:
+        exact = False
+    if exact:
         vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, s))
         if s > 0:
             for n in range(1, bound + 1):
                 vals[n] = Fraction(vals[n], n ** (m * s))
     else:
         z = _finite(s)
-        vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
+        with _overflow_guard(z, m * math.log(max(bound, 1))):
+            vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
+        if not all(map(cmath.isfinite, vals)):
+            raise FloatOverflowError(f"Z^{m}_n(s) overflows a float at s={z}")
     vals[0] = 0
     return vals
 

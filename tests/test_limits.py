@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from finzeta.arith import multiplicative_sieve, sigma
+from finzeta.arith import mobius, multiplicative_sieve, sigma
 from finzeta.limits import (
     CoeffPair,
     DirichletCoeffs,
@@ -175,33 +175,59 @@ def test_power_coeffs_reject_c_below_one():
 
 
 def _random_sequences(rnd, length):
-    """Seeded 1-based sequences (slot 0 unused): dense, sparse, signed, Fraction."""
+    """Seeded 1-based sequences (slot 0 unused): dense, sparse, signed, Fraction,
+    zero-free float and complex (signed zero parts included), float with gaps."""
+    def nonzero():
+        return rnd.choice((-1, 1)) * rnd.uniform(0.01, 3)
+
     return {
         "dense": [0] + [rnd.randint(1, 9) for _ in range(length)],
         "sparse": [0] + [int(rnd.random() < 0.1) for _ in range(length)],
         "negative": [0] + [rnd.randint(-5, 5) for _ in range(length)],
         "fraction": [0] + [Fraction(rnd.randint(-4, 4), rnd.randint(1, 5)) for _ in range(length)],
+        "float": [0.0] + [nonzero() for _ in range(length)],
+        "complex": [0j]
+        + [complex(rnd.choice((0.0, -0.0, nonzero())), nonzero()) for _ in range(length)],
+        "float_gaps": [0.0] + [nonzero() if rnd.random() < 0.7 else 0.0 for _ in range(length)],
     }
 
 
 def _literal_dirichlet(a, b):
-    # sum over d | n of a(d) b(n/d); a zero factor adds no term, so an empty sum is the int 0
+    # sum over d | n of a(d) b(n/d), added one at a time in ascending d; a
+    # zero factor adds no term, so an empty sum is the int 0
     bound = min(len(a), len(b)) - 1
-    return [0] + [
-        sum((a[d] * b[n // d] for d in range(1, n + 1) if n % d == 0 and a[d] and b[n // d]), 0)
-        for n in range(1, bound + 1)
-    ]
+    out = [0]
+    for n in range(1, bound + 1):
+        acc = 0
+        for d in range(1, n + 1):
+            if n % d == 0 and a[d] and b[n // d]:
+                acc = acc + a[d] * b[n // d]
+        out.append(acc)
+    return out
+
+
+def _bits(x):
+    # floats and complex numbers compared bit for bit, signed zeros included
+    if isinstance(x, float):
+        return "float", x.hex()
+    if isinstance(x, complex):
+        return "complex", repr(x)
+    return type(x).__name__, x
 
 
 def test_dirichlet_convolve_matches_literal_divisor_sum():
+    # both zero-free takes the row slices split at isqrt(bound), one zero-free
+    # side the rows of one phase, neither the paired supports
     rnd = random.Random(0xD1C0)
-    for la, lb in ((60, 60), (60, 37), (37, 60), (0, 9)):
+    for la, lb in ((60, 60), (60, 37), (37, 60), (0, 9), (49, 49), (56, 60), (60, 56)):
         seq_a, seq_b = _random_sequences(rnd, la), _random_sequences(rnd, lb)
         for ka, a in seq_a.items():
             for kb, b in seq_b.items():
                 got, want = dirichlet_convolve(a, b), _literal_dirichlet(a, b)
                 assert got == want, (ka, kb, la, lb)
-                assert [type(x) for x in got] == [type(x) for x in want], (ka, kb, la, lb)
+                assert list(map(_bits, got)) == list(map(_bits, want)), (ka, kb, la, lb)
+    assert dirichlet_convolve([], [1, 2]) == []
+    assert dirichlet_convolve((0, 2.5), (0, 2)) == [0, 5.0]
 
 
 # --- two-variable zeta coefficients -------------------------------------------
@@ -276,6 +302,37 @@ def test_powerful_zeta_factorization_examples():
     assert pair.agree()
 
 
+def _scan_lhs(k, l, bound):
+    """The lhs by the route that takes a = n_l first and tests every
+    c <= min(a^k, bound / a^{kl}) for c | a^k."""
+    lhs = [0] * (bound + 1)
+
+    def extend(level, prev, weight):
+        if level == 0:
+            lhs[weight] += 1
+            return
+        for n in range(prev, bound + 1, prev):
+            if weight * n ** (k * level) > bound:
+                break
+            extend(level - 1, n, weight * n**k)
+
+    a = 1
+    while a ** (k * l) <= bound:
+        for c in range(1, min(a**k, bound // a ** (k * l)) + 1):
+            if a**k % c == 0:
+                extend(l - 1, a, a**k * c)
+        a += 1
+    return lhs
+
+
+def test_powerful_zeta_factorization_k1_lhs_equals_divisor_scan():
+    # for k = 1 the lhs walks the multiples of c = n_{l+1} instead
+    for l in (1, 2, 3, 4):
+        for bound in (1, 2, 3, 16, 17, 1000, 4097):
+            lhs = powerful_zeta_factorization(1, l, bound).lhs.coeffs
+            assert list(lhs) == _scan_lhs(1, l, bound), (l, bound)
+
+
 def _chain_oracle(k, l, bound):
     """Count every (n_1, ..., n_{l+1}), each n_i <= bound, with n_{i+1} | n_i
     for i < l and n_{l+1} | n_l^k, at its weight (n_1 ... n_l)^k n_{l+1}."""
@@ -326,6 +383,36 @@ def test_F_kl_sieve_matches_moebius_convolution():
         assert pair.agree(), l
         support = set(sieve_step_powerful(X, 2, l))
         assert [n for n in range(1, X + 1) if pair.lhs[n]] == sorted(support)
+
+
+def test_F_kl_closed_form_equals_dense_convolution():
+    # zeta(2s) zeta(odd s) / zeta(2 odd s) from dense 0/1 and Moebius arrays,
+    # convolved by the divisor sum over every nonzero pair
+    def dense(c, bound, weight):
+        out = [0] * (bound + 1)
+        t = 1
+        while t**c <= bound:
+            out[t**c] = weight(t)
+            t += 1
+        return out
+
+    def convolve(a, b):
+        out = [0] * len(a)
+        b_support = [e for e in range(1, len(b)) if b[e]]
+        for d in range(1, len(a)):
+            for e in b_support if a[d] else ():
+                if d * e >= len(a):
+                    break
+                out[d * e] += a[d] * b[e]
+        return out
+
+    for bound in (1, 2, 3, 10**4, 10**5):
+        for l in range(1, 6):
+            odd = 2 * l + 1
+            want = convolve(dense(2, bound, lambda t: 1), dense(odd, bound, lambda t: 1))
+            want = convolve(want, dense(2 * odd, bound, mobius))
+            got = F_kl_coeffs(2, l, bound).rhs.coeffs
+            assert list(got) == want and set(map(type, got)) == {int}, (l, bound)
 
 
 def test_F_kl_no_closed_form_for_k3():

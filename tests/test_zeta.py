@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from finzeta.qpoly import MultiQPoly, qbinom
 from finzeta.stats import eisen1_check, eisenstein_coeffs
 from finzeta.zeta import (
     EulerFactorSingularity,
+    FloatOverflowError,
     ZeroLocation,
     _axis_orders,
     _brute_table,
@@ -263,6 +265,39 @@ def test_brute_table_examples_cover_both_sieve_routes():
     assert max(v.numerator * 3000**2 for v in _brute_table(3000, 2, 1)[1:]) < 2**53
     assert max(_brute_table(3000, 6, -4)) > 2**53
     assert max(_brute_table(3000, 5, 4)[1:]).numerator > 2**53
+
+
+def test_brute_table_takes_numpy_integer_s_exactly():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for s in (np.int64(4), np.int32(-3), np.uint8(1), np.int64(0)):
+            for m in (1, 2):
+                got, want = _brute_table(40, m, s), _brute_table(40, m, int(s))
+                assert got == want and list(map(type, got)) == list(map(type, want)), (s, m)
+        coeffs = eisenstein_coeffs(1, np.int64(4), 6)
+        assert coeffs[6] == 252 and type(coeffs[6]) is int
+    assert caught == []
+
+
+def test_float_overflow_raises_without_warnings():
+    # a finite s whose product with t log p, or whose exp, overflows a float
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for s in (0.5 + 1e308j, -400.0):
+            with pytest.raises(FloatOverflowError, match="overflows a float"):
+                eval_brute(6, 2, s)
+        with pytest.raises(ValueError, match="overflows a float"):
+            eisenstein_coeffs(2, 0.5 + 1e308j, 6)
+        with pytest.raises(ValueError, match="overflows a float"):
+            _brute_table(10, 2, -400.0)
+        # Z^4(-10) at 2^30 overflows in the product only, each factor finite
+        with pytest.raises(ValueError, match="overflows a float"):
+            eval_brute(2**30 * 3, 4, -10)
+        # past the guard thresholds a finite value is still returned
+        assert eval_brute(6, 2, 1e308) == 1 and eval_brute(6, 2, 1e308 + 1e308j) == 1
+        big = eval_brute(2, 1, -1010.0)  # 1 + 2^1010, with 1010 log 2 > 700
+        assert abs(big - 2.0**1010) <= 1e-12 * 2.0**1010
+    assert caught == []
 
 
 def test_float_brute_table_equals_eval_brute():
