@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 MAX_INPUT = 1 << 63
 
@@ -74,8 +74,6 @@ def _pollard_rho(n: int) -> int:
     The polynomial offset c walks 1, 2, 3, ... so the whole routine is
     deterministic.
     """
-    if n % 2 == 0:
-        return 2
     for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = 0
@@ -146,6 +144,14 @@ class Factorization:
         return len(self.entries)
 
 
+def _pure_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with r^k = n for the first k of 2, 3 that fits, else None."""
+    for k, r in ((2, math.isqrt(n)), (3, round(n ** (1 / 3)))):
+        if r**k == n:
+            return r, k
+    return None
+
+
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2**63 into primes.
@@ -159,11 +165,10 @@ def factorize(n: int) -> Factorization:
     if n < 1 or n >= MAX_INPUT:
         raise ValueError(f"n must satisfy 1 <= n < 2**63, got {n}")
     whole = int(n)  # kept as Factorization.n, a plain int even for a bool
-    if n >= 1 << 32:
-        # a pure square or cube factors through its root, without trial division
-        for k, r in ((2, math.isqrt(n)), (3, round(n ** (1 / 3)))):
-            if r**k == n:
-                return Factorization._trusted(tuple((p, e * k) for p, e in factorize(r)), whole)
+    # a pure square or cube factors through its root, without trial division
+    if n >= 1 << 32 and (power := _pure_power(n)):
+        r, k = power
+        return Factorization._trusted(tuple((p, e * k) for p, e in factorize(r)), whole)
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
@@ -180,13 +185,9 @@ def factorize(n: int) -> Factorization:
             continue
         # v < 2**63 has no prime factor below 2**16, so it is pq, p^2, pqr,
         # p^2 q or p^3; split the pure powers without rho
-        r = math.isqrt(v)
-        if r * r == v:
-            stack += [r, r]
-            continue
-        c = round(v ** (1 / 3))
-        if c**3 == v:
-            stack += [c, c, c]
+        power = _pure_power(v)
+        if power:
+            stack += [power[0]] * power[1]
             continue
         d = _pollard_rho(v)
         stack += [d, v // d]

@@ -226,7 +226,7 @@ def _emit(report: dict, fmt: str) -> None:
 def _cmd_eval(args) -> tuple[dict, int]:
     s = args.point
     notes = []
-    if args.exact and not isinstance(s, int):
+    if args.exact and zeta._integral(s) is None:
         raise ValueError("--exact requires an integer s")
     results = []
     values = {}

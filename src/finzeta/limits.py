@@ -22,9 +22,9 @@ from typing import Sequence
 
 from .arith import mobius
 from .powerful import sieve_step_powerful
-from .zeta import _brute_table
+from .zeta import _brute_table, _integral
 
-# Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin correction.
+# Bernoulli numbers B_2, B_4, ..., B_18 for Euler-Maclaurin; B_18 gives the tail estimate.
 _BERNOULLI = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -34,16 +34,16 @@ _BERNOULLI = (
     Fraction(-691, 2730),
     Fraction(7, 6),
     Fraction(-3617, 510),
+    Fraction(43867, 798),
 )
-_B18 = Fraction(43867, 798)
 _EM_CUTOFF = 1000
 
 
 def riemann_zeta(s) -> float:
     """zeta(s) for real s > 1, absolute error below 1e-10.
 
-    Euler-Maclaurin with cutoff 1000 and eight Bernoulli terms; the first
-    omitted term is evaluated as a tail estimate and must stay negligible.
+    Euler-Maclaurin with cutoff 1000 and eight Bernoulli terms; the ninth is
+    left out and evaluated as a tail estimate that must stay negligible.
     Once cutoff^{1-s} underflows to 0.0, every correction term is 0 and the
     head sum is the value.
     """
@@ -64,13 +64,11 @@ def riemann_zeta(s) -> float:
         while idx < 2 * j - 1:
             rising *= s + idx
             idx += 1
-        value += float(b) / math.factorial(2 * j) * rising * n_cut ** (-s - 2 * j + 1)
-    while idx < 17:
-        rising *= s + idx
-        idx += 1
-    tail_estimate = abs(float(_B18) / math.factorial(18) * rising * n_cut ** (-s - 17))
-    if tail_estimate > 1e-11:
-        raise ArithmeticError(f"correction tail {tail_estimate:.3g} too large at s={s}")
+        term = float(b) / math.factorial(2 * j) * rising * n_cut ** (-s - 2 * j + 1)
+        if j < len(_BERNOULLI):
+            value += term
+    if abs(term) > 1e-11:
+        raise ArithmeticError(f"correction tail {abs(term):.3g} too large at s={s}")
     return value
 
 
@@ -230,7 +228,7 @@ def zeta_m_st_coeffs(m: int, s: int, bound: int) -> CoeffPair:
     """
     if m < 1 or bound < 1:
         raise ValueError("need m >= 1 and bound >= 1")
-    if not isinstance(s, int) or isinstance(s, bool):
+    if (s := _integral(s)) is None:
         raise TypeError("s must be an integer for exact coefficients")
 
     lhs = _brute_table(bound, m, s)
@@ -297,9 +295,7 @@ def powerful_zeta_factorization(k: int, l: int, bound: int) -> CoeffPair:
                     extend(l - 1, a, top * c)
             a += 1
 
-    conv = [0] * (bound + 1)
-    for n in sieve_step_powerful(bound, k, l):
-        conv[n] = 1
+    conv = _densify(((n, 1) for n in sieve_step_powerful(bound, k, l)), bound)
     for j in range(2, l + 2):
         conv = dirichlet_convolve(conv, power_indicator_coeffs(j * k, bound))
 
@@ -315,9 +311,7 @@ def F_kl_coeffs(k: int, l: int, bound: int) -> CoeffPair:
     """
     if k < 1 or l < 1 or bound < 1:
         raise ValueError("need k, l, bound >= 1")
-    sieve = [0] * (bound + 1)
-    for n in sieve_step_powerful(bound, k, l):
-        sieve[n] = 1
+    sieve = _densify(((n, 1) for n in sieve_step_powerful(bound, k, l)), bound)
     closed = None
     if k == 2:
         # zeta(2s) zeta(odd s) as every product u v of the two supports

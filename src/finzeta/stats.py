@@ -15,7 +15,7 @@ from .arith import (
     multiplicative_sieve,
 )
 from .limits import dirichlet_convolve, riemann_zeta
-from .zeta import _brute_table, chain_product_counts
+from .zeta import FloatOverflowError, _brute_table, _integral, chain_product_counts
 
 _RATE_NOTE = (
     "no convergence rate is proved for these averages; "
@@ -118,20 +118,23 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    try:
-        values = multiplicative_sieve(bound, local)
-    except OverflowError as exc:
-        raise ValueError(
-            f"sigma={sigma} too large: p**(sigma*t) overflows a float for n <= {bound}"
-        ) from exc
     checkpoints = sorted({c for c in (10**4, 10**5, 10**6) if c <= bound} | {bound})
     curve = []
     total = 0
     last = 1
-    for cp in checkpoints:
-        total += sum(values[last : cp + 1])
-        last = cp + 1
-        curve.append((cp, total / (cp**beta * math.log(cp) ** alpha)))
+    try:
+        values = multiplicative_sieve(bound, local)
+        for cp in checkpoints:
+            total += sum(values[last : cp + 1])
+            last = cp + 1
+            curve.append((cp, total / (cp**beta * math.log(cp) ** alpha)))
+        if not math.isfinite(curve[-1][1]):
+            raise OverflowError("the empirical constant is not finite")
+    except OverflowError as exc:
+        raise FloatOverflowError(
+            f"sigma={sigma} too large: the partial sums or their main term"
+            f" x**{beta} overflow a float for x <= {bound}"
+        ) from exc
     empirical = curve[-1][1]
     return AverageResult(
         kind, m, None if kind != "Z_at_sigma" else float(sigma),
@@ -172,6 +175,8 @@ def eisenstein_coeffs(m: int, s, trunc: int) -> EisensteinSeries:
     """
     if m < 1 or trunc < 1:
         raise ValueError("need m >= 1 and trunc >= 1")
+    k = _integral(s)
+    s = s if k is None else k
     return EisensteinSeries(m, s, trunc, tuple(_brute_table(trunc, m, 1 - s)))
 
 
@@ -179,13 +184,16 @@ def eisen1_check(s, trunc: int) -> bool:
     """Check sum_{d | n} sigma_s(d) d^s = Z^2_n(-s) for all n <= trunc.
 
     The lhs convolves the powers d^s with 1 twice, factoring no n, so it
-    stays independent of the sieved rhs.  Exact comparison for integer s,
-    1e-9 relative tolerance otherwise; non-finite s raises ValueError.
+    stays independent of the sieved rhs.  Exact comparison for integral s
+    (see zeta._integral), 1e-9 relative tolerance otherwise; non-finite s
+    raises ValueError.
     """
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
+    k = _integral(s)
+    exact = k is not None
+    s = k if exact else s
     rhs = _brute_table(trunc, 2, -s)
-    exact = isinstance(s, int)
     z = s if exact else complex(s)
     # ints for s >= 0, Fractions for integer s < 0, complex otherwise
     base = Fraction if exact and s < 0 else int

@@ -96,6 +96,20 @@ def _exact_local(p: int, e: int, m: int, s: int) -> int:
     return acc
 
 
+def _integral(s):
+    """operator.index(s), or None if s is not integral: the one test for an
+    integer s, so numpy integers and bool count as their int value."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        return None
+
+
+def _overflow(m: int, N, z) -> FloatOverflowError:
+    """The one ending of a float route whose value at a finite s overflows."""
+    return FloatOverflowError(f"Z^{m}_{N}(s) overflows a float at s={z}")
+
+
 def _finite(s) -> complex:
     z = complex(s)
     if not cmath.isfinite(z):
@@ -126,7 +140,7 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     exponent-chain histogram _exponent_sum_counts(e_p, m), counted by
     recurrence; float monomials are exp(-s t log p).
 
-    exact=True needs integer s and returns an int (s <= 0) or Fraction
+    exact=True needs integral s and returns an int (s <= 0) or Fraction
     (s > 0): the product of the integer factors _exact_local(p, e_p, m, s),
     divided by N^(ms) once for s > 0.  Otherwise returns the complex product
     of the factors _float_local; a non-finite s raises ValueError, and a
@@ -135,7 +149,7 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     if m < 1:
         raise ValueError("m must be >= 1")
     if exact:
-        if isinstance(s, bool) or not isinstance(s, int):
+        if (s := _integral(s)) is None:
             raise TypeError("exact evaluation requires an integer s")
         value = math.prod(_exact_local(p, e, m, s) for p, e in factorize(N))
         return value if s <= 0 else Fraction(value, N ** (m * s))
@@ -147,7 +161,7 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
         for p, e in fact:
             value *= _float_local(p, e, m, z)
     if not cmath.isfinite(value):
-        raise FloatOverflowError(f"Z^{m}_N(s) overflows a float at N={N}, s={z}")
+        raise _overflow(m, N, z)
     return value
 
 
@@ -159,21 +173,17 @@ def _brute_table(bound: int, m: int, s) -> list:
     value and type.  Else it is _float_local, multiplied with the largest
     prime innermost; a slot that overflows raises FloatOverflowError.
     """
-    try:
-        s, exact = operator.index(s), True
-    except TypeError:
-        exact = False
-    if exact:
-        vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, s))
-        if s > 0:
+    if (k := _integral(s)) is not None:
+        vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, k))
+        if k > 0:
             for n in range(1, bound + 1):
-                vals[n] = Fraction(vals[n], n ** (m * s))
+                vals[n] = Fraction(vals[n], n ** (m * k))
     else:
         z = _finite(s)
         with _overflow_guard(z, m * math.log(max(bound, 1))):
             vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
         if not all(map(cmath.isfinite, vals)):
-            raise FloatOverflowError(f"Z^{m}_n(s) overflows a float at s={z}")
+            raise _overflow(m, "n", z)
     vals[0] = 0
     return vals
 
@@ -185,22 +195,22 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
 
     s = 0 short-circuits to the chain count prod_p C(e_p+m, m).
 
-    exact=True needs integer s and returns an int (s <= 0) or Fraction
+    exact=True needs integral s and returns an int (s <= 0) or Fraction
     (s > 0), as eval_brute does.  With X = p^|s| each prime gives the exact
     integer quotient prod_k (X^{e_p+k} - 1) // prod_k (X^k - 1), a Gaussian
     binomial in X; for s > 0 the factors' X^{-e_p} multiply to N^{-ms}.
 
-    Otherwise returns complex; non-finite s raises.  A factor 1 - p^{-sa}
-    within 1e-12 of 0 is replaced by its weight a and counted +1 in a
-    numerator, -1 in a denominator.  Per prime, a positive count returns 0j,
-    zero keeps the product (0/0 gives (e_p+k)/k) and a negative count raises
-    EulerFactorSingularity.
+    Otherwise returns complex; non-finite s raises ValueError and an overflow
+    FloatOverflowError.  A factor 1 - p^{-sa} within 1e-12 of 0 is replaced
+    by its weight a and counted +1 in a numerator, -1 in a denominator.  Per
+    prime, a positive count returns 0j, zero keeps the product (0/0 gives
+    (e_p+k)/k) and a negative count raises EulerFactorSingularity.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     fact = factorize(N)
     if exact:
-        if isinstance(s, bool) or not isinstance(s, int):
+        if (s := _integral(s)) is None:
             raise TypeError("exact evaluation requires an integer s")
         if s == 0:
             return chain_count(N, m)
@@ -218,8 +228,11 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
         lp = math.log(p)
         vanishing = 0
         for k in range(1, m + 1):
-            num = 1.0 - cmath.exp(-z * (e + k) * lp)
-            den = 1.0 - cmath.exp(-z * k * lp)
+            try:
+                num = 1.0 - cmath.exp(-z * (e + k) * lp)
+                den = 1.0 - cmath.exp(-z * k * lp)
+            except OverflowError as exc:
+                raise _overflow(m, N, z) from exc
             if abs(num) < _DEGENERATE_TOL:
                 num, vanishing = e + k, vanishing + 1
             if abs(den) < _DEGENERATE_TOL:
@@ -229,6 +242,8 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
             return 0j
         if vanishing < 0:
             raise EulerFactorSingularity(f"Euler factor at p={p} is singular at s={z}")
+    if not cmath.isfinite(value):
+        raise _overflow(m, N, z)
     return value
 
 
@@ -391,7 +406,8 @@ def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
 
     Each per-prime factor of eval_brute separates into a real amplitude
     matrix and an oscillatory one, so the grid is one matrix product per
-    prime and per chunk of ts values; chunk bounds the memory held.
+    prime and per chunk of ts values; chunk bounds the memory held.  An
+    overflow anywhere on the grid raises FloatOverflowError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -401,14 +417,18 @@ def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
         if arr.size == 0 or not np.isfinite(arr).all():
             raise ValueError(f"grid_min_abs needs a nonempty, finite {name}")
     terms = [_prime_terms(p, e, m) for p, e in factorize(N)]
-    amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
     best = math.inf
-    for i in range(0, len(tvals), chunk):
-        cols = tvals[i : i + chunk]
-        grid = np.ones((len(sig), len(cols)), dtype=np.complex128)
-        for tlog, amp in amps:
-            grid *= amp @ np.exp(-1j * np.outer(tlog, cols))
-        best = min(best, float(np.abs(grid).min()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
+        for i in range(0, len(tvals), chunk):
+            cols = tvals[i : i + chunk]
+            grid = np.ones((len(sig), len(cols)), dtype=np.complex128)
+            for tlog, amp in amps:
+                grid *= amp @ np.exp(-1j * np.outer(tlog, cols))
+            if not np.isfinite(grid).all():
+                row, col = np.argwhere(~np.isfinite(grid))[0]
+                raise _overflow(m, N, complex(sig[row], cols[col]))
+            best = min(best, float(np.abs(grid).min()))
     return best
 
 

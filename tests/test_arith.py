@@ -118,6 +118,9 @@ def test_factorize_splits_pure_powers_without_rho(monkeypatch):
         for e in (2, 3):
             # the undecorated function, so no cached result hides the work
             assert factorize.__wrapped__(p**e).entries == ((p, e),), (p, e)
+    # a cube or square cofactor left over by trial division
+    assert factorize.__wrapped__(2 * 65537**3).entries == ((2, 1), (65537, 3))
+    assert factorize.__wrapped__(3 * 65537**2).entries == ((3, 1), (65537, 2))
     assert calls == []
     for p, q in ((65537, 65539), (65539, 65537), (big, 65537), (65537, big)):
         want = tuple(sorted(((p, 2), (q, 1))))

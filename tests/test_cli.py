@@ -282,6 +282,13 @@ def test_average_sigma_overflow_is_an_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "sigma" in err
+    # here the sieve's values stay finite and the main term x^77.5 overflows
+    code, out, err = run(
+        capsys, "average", "Z_at_sigma", "-m", "3", "--max", "10000", "--sigma", "25.5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "sigma" in err and "34" not in err
 
 
 EVAL_EXACT_JSON = """\

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from finzeta import stats
@@ -229,3 +230,26 @@ def test_eisen1_check_fails_on_a_perturbed_slot(monkeypatch, s):
     assert eisen1_check(s, 100)
     monkeypatch.setattr(stats, "_brute_table", perturbed)
     assert not eisen1_check(s, 100)
+
+
+def test_eisen1_check_compares_a_numpy_integer_s_exactly(monkeypatch):
+    # Z^2_60(-6) is about 2.2e21, so a slot off by 1 is far inside a 1e-9 tolerance
+    sieved = stats._brute_table
+
+    def off_by_one(bound, m, w):
+        table = sieved(bound, m, w)
+        table[60] += 1
+        return table
+
+    assert eisen1_check(np.int64(6), 100)
+    monkeypatch.setattr(stats, "_brute_table", off_by_one)
+    assert not eisen1_check(np.int64(6), 100)
+
+
+def test_average_non_finite_empirical_constant_is_an_overflow(monkeypatch):
+    # the sieve and x^beta stay finite, the sum of the values does not
+    monkeypatch.setattr(
+        stats, "multiplicative_sieve", lambda bound, local: [1.0] * bound + [math.inf]
+    )
+    with pytest.raises(stats.FloatOverflowError, match="sigma=1.0"):
+        average_experiment("Z_at_sigma", 1, 1000, sigma=1.0)

@@ -18,8 +18,9 @@ from finzeta.arith import (
     is_prime,
     primes,
 )
+from finzeta.limits import zeta_m_st_coeffs
 from finzeta.qpoly import MultiQPoly, qbinom
-from finzeta.stats import eisen1_check, eisenstein_coeffs
+from finzeta.stats import average_experiment, eisen1_check, eisenstein_coeffs
 from finzeta.zeta import (
     EulerFactorSingularity,
     FloatOverflowError,
@@ -293,11 +294,64 @@ def test_float_overflow_raises_without_warnings():
         # Z^4(-10) at 2^30 overflows in the product only, each factor finite
         with pytest.raises(ValueError, match="overflows a float"):
             eval_brute(2**30 * 3, 4, -10)
+        # the Euler route: an infinite product, a nan from the product with
+        # log p, and cmath.exp's own OverflowError
+        for args in ((2**30, 4, -10), (6, 2, 0.5 + 1e308j), (6, 2, -400.0), (2, 4, -250.0)):
+            with pytest.raises(FloatOverflowError, match="overflows a float"):
+                eval_euler(*args)
+        for sigmas, ts in (([-400.0], [1.0]), ([0.5], [1e308])):
+            with pytest.raises(FloatOverflowError, match="overflows a float"):
+                grid_min_abs(6, 2, sigmas, ts)
+        with pytest.raises(FloatOverflowError, match="sigma=25.5"):
+            average_experiment("Z_at_sigma", 3, 10**4, sigma=25.5)
+        # the Euler factor 2^1250 overflows where the value 1 + 2^250 + ... + 2^1000
+        # does not: a limit of the Euler route, not a wrong value
+        assert abs(eval_brute(2, 4, -250.0) - 1.0715086071861939e301) <= 1e-12 * 1.08e301
         # past the guard thresholds a finite value is still returned
         assert eval_brute(6, 2, 1e308) == 1 and eval_brute(6, 2, 1e308 + 1e308j) == 1
         big = eval_brute(2, 1, -1010.0)  # 1 + 2^1010, with 1010 log 2 > 700
         assert abs(big - 2.0**1010) <= 1e-12 * 2.0**1010
     assert caught == []
+
+
+INTEGRAL_S = [np.int64(-2), np.int32(3), np.uint8(1), np.uint8(2), True]
+
+
+def _typed(value):
+    """value with the type of every entry, for equality in value and type."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return (type(value), value)
+
+
+@pytest.mark.parametrize("s", INTEGRAL_S, ids=repr)
+def test_integral_s_counts_as_its_int_on_every_exact_route(s):
+    k = int(s)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for N, m in ((1, 1), (12, 2), (720, 3)):
+            for f in (eval_brute, eval_euler):
+                assert _typed(f(N, m, s, exact=True)) == _typed(f(N, m, k, exact=True)), (f, N, m)
+        for m in (1, 2):
+            got, want = zeta_m_st_coeffs(m, s, 60), zeta_m_st_coeffs(m, k, 60)
+            assert got.agree()
+            for side in ("lhs", "rhs"):
+                assert _typed(getattr(got, side).coeffs) == _typed(getattr(want, side).coeffs)
+            got, want = eisenstein_coeffs(m, s, 40), eisenstein_coeffs(m, k, 40)
+            assert _typed(got.coeffs) == _typed(want.coeffs)
+        assert eisen1_check(s, 60) is eisen1_check(k, 60) is True
+    assert caught == []
+
+
+@pytest.mark.parametrize("s", [2.0, np.float64(2.0), 2.5, Fraction(2)], ids=repr)
+def test_exact_routes_reject_non_integral_s(s):
+    for route in (
+        lambda: eval_brute(12, 2, s, exact=True),
+        lambda: eval_euler(12, 2, s, exact=True),
+        lambda: zeta_m_st_coeffs(2, s, 10),
+    ):
+        with pytest.raises(TypeError):
+            route()
 
 
 def test_float_brute_table_equals_eval_brute():
