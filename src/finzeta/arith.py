@@ -289,15 +289,22 @@ def _exponent_sum_counts(e: int, m: int) -> tuple[int, ...]:
 
 def bounded_partition_count(total: int, max_part: int, max_len: int | None = None) -> int:
     """Number of partitions of total with parts <= max_part and at most
-    max_len parts (None: unbounded); a lookup into the chain histogram, as
-    zero-padded they are the chains of _exponent_sum_counts(max_part, max_len)."""
+    max_len parts (None: unbounded): the coefficient of q^total in the
+    Gaussian binomial [P+L, L]_q = prod_{i=1}^{L} (1 - q^(P+i)) / (1 - q^i),
+    with every series cut past q^total, in O(L total) int additions."""
     if total < 0:
         return 0
     if max_len is None:
         max_len = total
     # bounds clamped to [0, total]; a bound of 0 leaves only the empty partition
-    h = _exponent_sum_counts(min(max(max_part, 0), total), min(max(max_len, 0), total))
-    return h[total] if total < len(h) else 0
+    P, L = min(max(max_part, 0), total), min(max(max_len, 0), total)
+    row = [1] + [0] * total
+    for i in range(1, L + 1):
+        for t in range(total, P + i - 1, -1):
+            row[t] -= row[t - P - i]
+        for t in range(i, total + 1):
+            row[t] += row[t - i]
+    return row[total]
 
 
 def spf_sieve(limit: int) -> list[int]:

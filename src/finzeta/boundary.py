@@ -31,6 +31,8 @@ def factor_H(k: int, l: int) -> IntPoly:
     return IntPoly(tuple(poly_div_exact(build_G(k, l).coeffs, one_minus_q(k))))
 
 
+# val(z) may overflow far from the roots, and a nan step never converges
+@np.errstate(over="ignore", invalid="ignore")
 def poly_roots(poly: IntPoly) -> list[complex]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration plus a
     Newton polish.  Non-convergence or a residual above 1e-10 times the

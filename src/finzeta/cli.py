@@ -14,8 +14,6 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import boundary, powerful, qpoly, stats, zeta
 
 SCHEMA_VERSION = 1
@@ -479,10 +477,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     hint = "; use --exact for an integer s" if args.command == "eval" else ""
     try:
-        # an overflow that no route raises as FloatOverflowError is reported
-        # once, below, as a non-finite result
-        with np.errstate(over="ignore", invalid="ignore"):
-            report, code = args.handler(args)
+        report, code = args.handler(args)
     except zeta.FloatOverflowError as exc:
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2

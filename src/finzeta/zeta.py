@@ -13,7 +13,6 @@ logarithm, so there is no branch ambiguity.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import itertools
 import math
 import operator
@@ -47,12 +46,6 @@ class FloatOverflowError(ValueError):
 # |1 - p^{-sa}| below this counts as a vanishing Euler factor.
 _DEGENERATE_TOL = 1e-12
 
-# Below these |s| t log p and -Re(s) t log p, numpy's -s * tlog and its exp
-# cannot overflow.
-_PRODUCT_MAX = 1e300
-_EXP_MAX = 700.0
-_NO_GUARD = contextlib.nullcontext()
-
 
 def chain_product_counts(N, m: int) -> dict[int, int]:
     """Multiset {chain product: count} over divisor_chains(N, m).
@@ -62,9 +55,10 @@ def chain_product_counts(N, m: int) -> dict[int, int]:
     its product is prod_p p^(j_1 + ... + j_m).  So each prime's exponent
     chains are enumerated and histogrammed by their sum, and the primes are
     combined by a coprime product, whose keys cannot collide.  Every key
-    divides N^m.  It is the reference route that tests and
-    coefficient_identity_check hold against the chain recurrence; with
-    prod_p (e_p m + 1) keys it is not cached.
+    divides N^m.  It is the reference route that tests hold against the
+    chain recurrence, and coefficient_identity_check against the Gaussian
+    binomials of bounded_partition_count; with prod_p (e_p m + 1) keys it
+    is not cached.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -76,22 +70,13 @@ def chain_product_counts(N, m: int) -> dict[int, int]:
     return counts
 
 
-@lru_cache(maxsize=4096)
-def _prime_terms(p: int, e: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(t log p, h(t)) for t = 0..e*m as float arrays."""
-    h = np.array(_exponent_sum_counts(e, m), dtype=np.float64)
-    return np.arange(len(h)) * math.log(p), h
-
-
-def _exact_local(p: int, e: int, m: int, s: int) -> int:
-    """The integer per-prime factor of exact eval_brute at p^e.
-
-    Horner in x = p^|s| over the chain histogram h = _exponent_sum_counts(e, m):
-    sum_t h(t) x^t for s <= 0; for s > 0 the numerator sum_t h(t) x^(e m - t)
-    of the factor over p^(s e m).
-    """
-    h, x, acc = _exponent_sum_counts(e, m), p ** abs(s), 0
-    for k in h if s > 0 else reversed(h):
+def _local(e: int, m: int, x):
+    """eval_brute's per-prime factor at p^e: sum_t h(t) x^t by Horner over
+    the chain histogram h = _exponent_sum_counts(e, m).  h is palindromic,
+    h(t) = h(e m - t), so at x = p^s, s > 0, it is also the integer
+    numerator of the factor sum_t h(t) p^(-st) over p^(s e m)."""
+    acc = 0
+    for k in _exponent_sum_counts(e, m):
         acc = acc * x + k
     return acc
 
@@ -118,19 +103,17 @@ def _finite(s) -> complex:
 
 
 def _float_local(p: int, e: int, m: int, z: complex) -> complex:
-    """Float eval_brute's per-prime factor sum_t h(t) p^(-zt) at p^e."""
-    tlog, h = _prime_terms(p, e, m)
-    return complex(np.dot(h, np.exp(-z * tlog)))
-
-
-def _overflow_guard(z: complex, top: float):
-    """A context for _float_local at every t log p <= top: numpy's overflow
-    warnings off once |z| top or -Re(z) top passes _PRODUCT_MAX or _EXP_MAX,
-    else nothing.  A factor that overflows is not finite, and neither is any
-    product with it, so the caller checks only its final value."""
-    if abs(z) * top < _PRODUCT_MAX and -z.real * top < _EXP_MAX:
-        return _NO_GUARD
-    return np.errstate(over="ignore", invalid="ignore")
+    """Float eval_brute's per-prime factor sum_t h(t) p^(-zt) at p^e: _local
+    at x = p^(-z), built from its modulus and phase, so a modulus that
+    underflows to 0 takes any phase.  Raises OverflowError where the modulus
+    overflows, or where the phase Im(z) e m log p of the top term does and
+    its modulus exponent Re(z) e m log p is not +inf; a factor that
+    overflows later is not finite, and neither is any product with it."""
+    lp = math.log(p)
+    top = e * m * lp
+    if math.isinf(z.imag * top) and z.real * top != math.inf:
+        raise OverflowError(f"the phase of p^(-s t) overflows at p^e = {p}^{e}")
+    return _local(e, m, cmath.rect(math.exp(-z.real * lp), -z.imag * lp))
 
 
 def eval_brute(N: int, m: int, s, exact: bool = False):
@@ -138,28 +121,28 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
 
     By distributivity the chain sum is prod_p sum_t h(t) p^{-st}, with h the
     exponent-chain histogram _exponent_sum_counts(e_p, m), counted by
-    recurrence; float monomials are exp(-s t log p).
+    recurrence; each prime's polynomial in x is evaluated by Horner (_local).
 
     exact=True needs integral s and returns an int (s <= 0) or Fraction
-    (s > 0): the product of the integer factors _exact_local(p, e_p, m, s),
+    (s > 0): the product of the integer factors _local at x = p^|s|,
     divided by N^(ms) once for s > 0.  Otherwise returns the complex product
-    of the factors _float_local; a non-finite s raises ValueError, and a
-    product that overflows raises FloatOverflowError.
+    of the factors _float_local at x = p^(-s); a non-finite s raises
+    ValueError, and an overflow FloatOverflowError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if exact:
         if (s := _integral(s)) is None:
             raise TypeError("exact evaluation requires an integer s")
-        value = math.prod(_exact_local(p, e, m, s) for p, e in factorize(N))
+        value = math.prod(_local(e, m, p ** abs(s)) for p, e in factorize(N))
         return value if s <= 0 else Fraction(value, N ** (m * s))
     z = _finite(s)
-    fact = factorize(N)
     value = complex(1.0)
-    # e m log p <= m log N for every p | N
-    with _overflow_guard(z, m * math.log(N)):
-        for p, e in fact:
+    try:
+        for p, e in factorize(N):
             value *= _float_local(p, e, m, z)
+    except OverflowError as exc:
+        raise _overflow(m, N, z) from exc
     if not cmath.isfinite(value):
         raise _overflow(m, N, z)
     return value
@@ -168,20 +151,22 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
 def _brute_table(bound: int, m: int, s) -> list:
     """[0, Z^m_1(s), ..., Z^m_bound(s)], multiplicative in n, by one
     multiplicative_sieve of eval_brute's per-prime factor.  For integral s
-    (any type operator.index takes) it is _exact_local, and slot n, divided
+    (any type operator.index takes) it is _local at p^|s|, and slot n, divided
     by n^(ms) once for s > 0, equals eval_brute(n, m, int(s), exact=True) in
     value and type.  Else it is _float_local, multiplied with the largest
     prime innermost; a slot that overflows raises FloatOverflowError.
     """
     if (k := _integral(s)) is not None:
-        vals = multiplicative_sieve(bound, lambda p, e: _exact_local(p, e, m, k))
+        vals = multiplicative_sieve(bound, lambda p, e: _local(e, m, p ** abs(k)))
         if k > 0:
             for n in range(1, bound + 1):
                 vals[n] = Fraction(vals[n], n ** (m * k))
     else:
         z = _finite(s)
-        with _overflow_guard(z, m * math.log(max(bound, 1))):
+        try:
             vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
+        except OverflowError as exc:
+            raise _overflow(m, "n", z) from exc
         if not all(map(cmath.isfinite, vals)):
             raise _overflow(m, "n", z)
     vals[0] = 0
@@ -264,22 +249,28 @@ def eval_multivar(gamma, N: int, t, method: str = "product") -> complex:
 
     method="product" multiplies the per-prime chain polynomials at
     q_j = p^{-t_j}; method="direct" enumerates the integer chains.  The two
-    must agree and are kept as separate routes.
+    must agree and are kept as separate routes.  A non-finite t_j raises
+    ValueError, and an overflow FloatOverflowError.
     """
     sig = _as_signature(gamma)
-    t = list(t)
+    t = [_finite(tj) for tj in t]
     if len(t) != len(sig):
         raise ValueError("need one exponent per signature entry")
-    if method == "product":
-        value = complex(1.0)
-        for p, e in factorize(N):
-            lp = math.log(p)
-            args = [cmath.exp(-complex(tj) * lp) for tj in t]
-            value *= complex(_gfun_poly(sig.parts, e).evaluate(args))
-        return value
-    if method == "direct":
-        return _multivar_direct(sig.parts, t, N)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("product", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        if method == "product":
+            value = complex(1.0)
+            for p, e in factorize(N):
+                args = [cmath.exp(-tj * math.log(p)) for tj in t]
+                value *= complex(_gfun_poly(sig.parts, e).evaluate(args))
+        else:
+            value = _multivar_direct(sig.parts, t, N)
+    except OverflowError as exc:
+        raise _overflow(sig.parts, N, t) from exc
+    if not cmath.isfinite(value):
+        raise _overflow(sig.parts, N, t)
+    return value
 
 
 @lru_cache(maxsize=4096)
@@ -296,7 +287,8 @@ def _multivar_direct(parts: tuple[int, ...], t: list, bound: int) -> complex:
         dc = d**c
         if bound % dc == 0:
             inner = _multivar_direct(parts[1:], t[1:], dc)
-            total += d ** (-c * complex(t[0])) * inner
+            # d = 1 contributes 1^(-c t) = 1, which pow gives as nan at an infinite phase
+            total += inner if d == 1 else d ** (-c * t[0]) * inner
     return total
 
 
@@ -416,10 +408,13 @@ def grid_min_abs(N: int, m: int, sigmas, ts, chunk: int = 1024) -> float:
     for name, arr in (("sigmas", sig), ("ts", tvals)):
         if arr.size == 0 or not np.isfinite(arr).all():
             raise ValueError(f"grid_min_abs needs a nonempty, finite {name}")
-    terms = [_prime_terms(p, e, m) for p, e in factorize(N)]
     best = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = [(tlog, h * np.exp(-np.outer(sig, tlog))) for tlog, h in terms]
+        amps = []
+        for p, e in factorize(N):
+            tlog = np.arange(e * m + 1) * math.log(p)
+            h = np.array(_exponent_sum_counts(e, m), dtype=np.float64)
+            amps.append((tlog, h * np.exp(-np.outer(sig, tlog))))
         for i in range(0, len(tvals), chunk):
             cols = tvals[i : i + chunk]
             grid = np.ones((len(sig), len(cols)), dtype=np.complex128)

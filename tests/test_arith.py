@@ -305,6 +305,12 @@ def test_bounded_partition_count_edge_cases():
     assert bounded_partition_count(40, 3) == bounded_partition_count(40, 40, 3) == 154
 
 
+def test_bounded_partition_count_at_large_bounds():
+    # p(100) and p(200): a table of every (part, length) pair would take seconds
+    assert bounded_partition_count(100, 100) == bounded_partition_count(100, 200) == 190569292
+    assert bounded_partition_count(200, 200) == bounded_partition_count(200, 300, None) == 3972999029388
+
+
 def test_multiplicative_sieve_matches_lift():
     local = lambda p, e: e + 1
     vals = multiplicative_sieve(3000, local)

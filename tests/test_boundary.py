@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ def test_poly_roots_residuals():
 def test_poly_roots_rejects_constants():
     with pytest.raises(ValueError):
         poly_roots(IntPoly((1,)))
+
+
+def test_poly_roots_overflow_fails_without_warnings():
+    # the start radius 1 + 10^6 overflows z^60, so every step is nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="did not converge"):
+            poly_roots(IntPoly((10**6,) + (0,) * 59 + (1,)))
+    assert caught == []
 
 
 def test_classify_examples():

@@ -28,6 +28,7 @@ from finzeta.zeta import (
     _axis_orders,
     _brute_table,
     _exponent_sum_counts,
+    _float_local,
     chain_product_counts,
     circle_order_estimate,
     eval_brute,
@@ -312,6 +313,38 @@ def test_float_overflow_raises_without_warnings():
         big = eval_brute(2, 1, -1010.0)  # 1 + 2^1010, with 1010 log 2 > 700
         assert abs(big - 2.0**1010) <= 1e-12 * 2.0**1010
     assert caught == []
+
+
+def test_float_brute_phase_rule_at_the_edges():
+    # a top term whose phase Im(s) e m log p overflows raises unless its modulus
+    # exponent Re(s) e m log p is +inf, where every term but t = 0 vanishes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatOverflowError, match="overflows a float"):
+            eval_brute(6, 2, 1000 + 1e308j)
+        assert eval_brute(6, 2, 1e308 + 1e308j) == 1
+        # Im(s) log 3 itself is +inf here
+        assert eval_brute(3, 2, 1e308 + 1.7e308j) == 1
+        value = eval_brute(6, 2, 0.5 + 1e306j)
+        want = 1.486338490991561 + 1.6120745507201346j
+        assert cmath.isfinite(value) and abs(value - want) <= 1e-12 * abs(want)
+    assert caught == []
+
+
+def test_float_local_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    draws = random.Random(25)
+    worst = 0.0
+    with mp.workprec(200):
+        for _ in range(1000):
+            p = draws.choice(primes(29))
+            e, m = draws.randint(1, 12), draws.randint(1, 4)
+            s = complex(draws.uniform(-3, 3), draws.uniform(-10, 10))
+            x = mp.power(p, -mp.mpc(s.real, s.imag))
+            terms = [k * x**t for t, k in enumerate(_exponent_sum_counts(e, m))]
+            err = abs(_float_local(p, e, m, s) - mp.fsum(terms))
+            worst = max(worst, float(err / mp.fsum(abs(v) for v in terms)))
+    assert worst <= 1e-12, worst
 
 
 INTEGRAL_S = [np.int64(-2), np.int32(3), np.uint8(1), np.uint8(2), True]
@@ -693,6 +726,20 @@ def test_eval_multivar_direct_vs_product():
         assert abs(a - b) <= 1e-9 * (1 + abs(a)), (gamma, N, t)
     with pytest.raises(ValueError):
         eval_multivar((1,), 6, (1.0,), method="sideways")
+
+
+def test_eval_multivar_overflow_and_infinite_phase_at_one():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for method in ("product", "direct"):
+            with pytest.raises(FloatOverflowError, match="overflows a float"):
+                eval_multivar((1,), 6, [-400.0], method=method)
+            # the only chain is (1, 1), whatever the phase of 1^(-2 t_1)
+            assert eval_multivar((2, 1), 6, [0.5 + 1e308j, 1], method=method) == 1
+            for bad in (math.inf, complex(0.5, math.nan)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    eval_multivar((1, 1), 6, [1.0, bad], method=method)
+    assert caught == []
 
 
 def test_zero_location_is_frozen():
