@@ -68,36 +68,87 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n.
+# SQUFOF multipliers are the squarefree k below this; kv < 2**76 for v < 2**63
+_MULTIPLIER_BOUND = 1 << 13
 
-    The polynomial offset c walks 1, 2, 3, ... so the whole routine is
-    deterministic.
+
+@cache
+def _multipliers() -> tuple[int, ...]:
+    """The squarefree k, 1 <= k < 2**13, ascending."""
+    free = bytearray([1]) * _MULTIPLIER_BOUND
+    for p in primes(math.isqrt(_MULTIPLIER_BOUND - 1)):
+        free[p * p :: p * p] = bytes(len(free[p * p :: p * p]))
+    return tuple(k for k in range(1, _MULTIPLIER_BOUND) if free[k])
+
+
+def _cycle_step(root, P, Q_prev, Q):
+    """One step (P, Q_prev, Q) -> (P', Q, Q') of Shanks' cycle of forms in
+    the continued fraction of sqrt(D), root = isqrt(D).  The same operators
+    act on Python ints and, lane by lane, on numpy arrays."""
+    b = (root + P) // Q
+    P_next = b * Q - P
+    return P_next, Q, Q_prev + b * (P - P_next)
+
+
+def _reverse_cycle(v: int, D: int, root: int, P: int, r: int) -> int:
+    """gcd(v, Q) at the symmetry point of the reverse cycle that starts from
+    the square form Q = r**2 reached with P in the forward cycle of D = kv."""
+    P += (root - P) // r * r
+    Q_prev, Q = r, (D - P * P) // r
+    while True:
+        P_next, Q_prev, Q = _cycle_step(root, P, Q_prev, Q)
+        if P_next == P:
+            return math.gcd(v, Q_prev)
+        P = P_next
+
+
+def _squfof(v: int) -> int:
+    """A proper factor of v, by Shanks' square form factorization (SQUFOF).
+
+    v < 2**63 is odd, composite and not a square, and has no prime factor
+    below 2**13, so gcd(k, v) = 1 and kv is no square for every multiplier
+    k.  The first K = max(8, floor(4 v^(1/8))) squarefree multipliers run
+    the forward cycle of D = kv side by side as int64 numpy lanes.  The wait
+    for a proper square form is close to memoryless and alike across
+    multipliers, so the fastest of K lanes needs about c v^(1/4) / K steps.
+    Every Q of even index is tested for a square, and each square runs the
+    reverse cycle in Python ints.  A lane dies when Q returns to 1, where
+    its cycle closes; a batch ends when its lanes have all died or have run
+    6 isqrt(2 isqrt(D)) steps for its largest D, and the next K multipliers
+    take over.  Raises ArithmeticError once every multiplier below 2**13 is
+    spent.
+
+    int64 is exact here: D < 2**13 * 2**63 = 2**76, so sqrt(D) < 2**38.
+    Each form of the cycle is reduced, 0 < P < sqrt(D) and
+    0 < Q < 2 sqrt(D), so every P, Q and Q_prev, and b Q = P + P' and
+    b (P - P') = Q' - Q_prev, lies below 2 sqrt(D) < 2**39 in magnitude.
+    float64 holds each Q < 2**52 exactly, and its correctly rounded sqrt is
+    r exactly when Q = r**2, so r * r == Q decides the square test.
     """
-    for c in itertools.count(1):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        # cycle collapsed for this c, retry with the next offset
+    import numpy as np
+
+    multipliers = _multipliers()
+    width = max(8, int(4 * v**0.125))
+    for start in range(0, len(multipliers), width):
+        D = [k * v for k in multipliers[start : start + width]]
+        roots = list(map(math.isqrt, D))
+        root = np.array(roots, dtype=np.int64)
+        P, Q_prev = root, np.ones_like(root)
+        Q = np.array([d - x * x for d, x in zip(D, roots)], dtype=np.int64)
+        live = np.ones(len(D), dtype=bool)
+        # after step j - 1, Q holds Q_j
+        for j in range(2, 6 * math.isqrt(2 * math.isqrt(D[-1])) + 2):
+            P, Q_prev, Q = _cycle_step(root, P, Q_prev, Q)
+            live &= Q != 1
+            if j % 2 == 0:
+                r = np.sqrt(Q).astype(np.int64)
+                for i in np.flatnonzero(live & (r * r == Q)).tolist():
+                    d = _reverse_cycle(v, D[i], roots[i], int(P[i]), int(r[i]))
+                    if 1 < d < v:
+                        return d
+            if not live.any():
+                break
+    raise ArithmeticError(f"SQUFOF found no factor of {v}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +208,10 @@ def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2**63 into primes.
 
     A square or cube n >= 2**32 factors through its root.  Otherwise trial
-    division up to 2**16, then Miller-Rabin plus Pollard rho for a cofactor
-    not proved prime by it.  Rejects n < 1 and n >= 2**63.
+    division up to 2**16, then Miller-Rabin, and for a cofactor v not proved
+    prime by it SQUFOF (`_squfof`) over about 4 v^(1/8) multipliers at once.
+    Its cost follows v, not v's smallest factor: about c v^(1/4) / K steps
+    of K = max(8, 4 v^(1/8)) int64 lanes.  Rejects n < 1 and n >= 2**63.
     """
     if not isinstance(n, int):
         raise TypeError(f"expected int, got {type(n).__name__}")
@@ -184,12 +237,12 @@ def factorize(n: int) -> Factorization:
             out[v] = out.get(v, 0) + 1
             continue
         # v < 2**63 has no prime factor below 2**16, so it is pq, p^2, pqr,
-        # p^2 q or p^3; split the pure powers without rho
+        # p^2 q or p^3; split the pure powers without SQUFOF
         power = _pure_power(v)
         if power:
             stack += [power[0]] * power[1]
             continue
-        d = _pollard_rho(v)
+        d = _squfof(v)
         stack += [d, v // d]
     return Factorization._trusted(tuple(sorted(out.items())), whole)
 

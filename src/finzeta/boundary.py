@@ -25,6 +25,10 @@ _MAX_ITER = 500
 _CONVERGE_TOL = 1e-14
 
 
+class RootFindingError(ArithmeticError):
+    """poly_roots did not converge, or left a residual above its bound."""
+
+
 def factor_H(k: int, l: int) -> IntPoly:
     """H_{k,l}(T) = G_{k,l}(T) / (1 - T^k) = 1 + (T^k - T) sum_{j<l} T^{kj},
     by exact polynomial division; a remainder would raise ArithmeticError."""
@@ -36,7 +40,7 @@ def factor_H(k: int, l: int) -> IntPoly:
 def poly_roots(poly: IntPoly) -> list[complex]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration plus a
     Newton polish.  Non-convergence or a residual above 1e-10 times the
-    coefficient scale is a hard error."""
+    coefficient scale raises RootFindingError."""
     if poly.degree < 1:
         raise ValueError("need degree >= 1")
     val, dval = poly, poly.deriv()
@@ -56,7 +60,7 @@ def poly_roots(poly: IntPoly) -> list[complex]:
         if float(np.abs(step).max()) < _CONVERGE_TOL * (1.0 + float(np.abs(z).max())):
             break
     else:
-        raise RuntimeError(f"root iteration did not converge for {poly.coeffs}")
+        raise RootFindingError(f"root iteration did not converge for {poly.coeffs}")
 
     for _ in range(3):
         z = z - val(z) / dval(z)
@@ -64,7 +68,7 @@ def poly_roots(poly: IntPoly) -> list[complex]:
     scale = float(np.abs(c).max())
     worst = float(np.abs(val(z)).max())
     if worst > 1e-10 * scale:
-        raise RuntimeError(f"root residual {worst:.3g} too large for {poly.coeffs}")
+        raise RootFindingError(f"root residual {worst:.3g} too large for {poly.coeffs}")
     roots = sorted(map(complex, z), key=lambda r: (round(r.real, 12), round(r.imag, 12)))
     return roots
 

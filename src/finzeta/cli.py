@@ -6,6 +6,7 @@ import argparse
 import cmath
 import csv
 import functools
+import io
 import math
 import operator
 import os
@@ -181,10 +182,10 @@ def _json_rows(items, indent: str):
     return map(template.__mod__, zip(*cells))
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _render(report: dict, fmt: str) -> str:
+    """The whole text of `report` in `fmt`, ending in a newline."""
     if fmt == "json":
-        print(_json(report, "\n"))
-        return
+        return _json(report, "\n") + "\n"
     if fmt == "csv":
         rows = []
         keys: list[str] = []
@@ -200,21 +201,20 @@ def _emit(report: dict, fmt: str) -> None:
                 if k not in keys:
                     keys.append(k)
             rows.append(row)
-        writer = csv.DictWriter(sys.stdout, fieldnames=keys, restval="")
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=keys, restval="")
         writer.writeheader()
         writer.writerows(rows)
-        return
-    print(f"command: {report['command']}")
+        return out.getvalue()
     params = " ".join(
         f"{k}={_human_value(v)}" for k, v in report["parameters"].items()
     )
-    print(f"parameters: {params}")
-    for note in report["notes"]:
-        print(f"note: {note}")
-    print("results:")
+    lines = [f"command: {report['command']}", f"parameters: {params}"]
+    lines += [f"note: {note}" for note in report["notes"]]
+    lines.append("results:")
     for result in report["results"]:
-        line = "  " + "  ".join(f"{k}={_human_value(v)}" for k, v in result.items())
-        print(line)
+        lines.append("  " + "  ".join(f"{k}={_human_value(v)}" for k, v in result.items()))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +478,25 @@ def main(argv=None) -> int:
     hint = "; use --exact for an integer s" if args.command == "eval" else ""
     try:
         report, code = args.handler(args)
+        # parameters are finite once parsed; a result cell may overflow to inf or nan
+        cells = [v for row in report["results"] for v in row.values()]
+        if not all(cmath.isfinite(v) for v in cells if isinstance(v, (float, complex))):
+            raise zeta.FloatOverflowError("result is not finite")
+        # rendered in full before any of it is written, so an int too long
+        # for str() fails here with an empty stdout
+        text = _render(report, args.format)
     except zeta.FloatOverflowError as exc:
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # parameters are finite once parsed; a result cell may overflow to inf or nan
-    cells = [v for row in report["results"] for v in row.values()]
-    if not all(cmath.isfinite(v) for v in cells if isinstance(v, (float, complex))):
-        print(f"error: result is not finite{hint}", file=sys.stderr)
-        return 2
     try:
-        _emit(report, args.format)
+        # in pieces: a reader that leaves during one long write can go
+        # unnoticed, and the next piece then raises BrokenPipeError
+        piece = io.DEFAULT_BUFFER_SIZE
+        for i in range(0, len(text), piece):
+            sys.stdout.write(text[i : i + piece])
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (e.g. `| head`); send what remains, and the

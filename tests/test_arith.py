@@ -5,7 +5,10 @@ import struct
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finzeta import arith
 from finzeta.arith import (
@@ -79,7 +82,7 @@ def test_factorize_large_inputs():
     assert factorize(p).entries == ((p, 1),)
     a, b = 1073741827, 2147483647
     assert factorize(a * b).entries == ((a, 1), (b, 1))
-    n = 2**62 + 2**31  # forces the rho stage on a big even composite
+    n = 2**62 + 2**31  # forces the splitter stage on a big even composite
     prod = 1
     for q, e in factorize(n):
         assert is_prime(q)
@@ -89,7 +92,7 @@ def test_factorize_large_inputs():
 
 def test_factorize_cofactors_around_the_trial_bound():
     # 65521 is the last trial prime; a cofactor below 65521^2 is prime
-    # without Miller-Rabin, one above it goes to Miller-Rabin and rho
+    # without Miller-Rabin, one above it goes to Miller-Rabin and the splitter
     cases = {
         65521 * 65537: ((65521, 1), (65537, 1)),
         65521**2 * 65537: ((65521, 2), (65537, 1)),
@@ -107,13 +110,13 @@ def test_factorize_splits_pure_powers_without_rho(monkeypatch):
     big = max(p for p in range(2**21 - 100, 2**21) if is_prime(p))
     assert big == 2097143
     calls = []
-    rho = arith._pollard_rho
+    split = arith._squfof
 
     def counting(n):
         calls.append(n)
-        return rho(n)
+        return split(n)
 
-    monkeypatch.setattr(arith, "_pollard_rho", counting)
+    monkeypatch.setattr(arith, "_squfof", counting)
     for p in (65537, 65539, big):
         for e in (2, 3):
             # the undecorated function, so no cached result hides the work
@@ -163,6 +166,82 @@ def test_factorize_pure_powers_match_trial_division():
         for m in (n - 1, n + 1):
             f = factorize.__wrapped__(m)
             assert Factorization(f.entries).n == m
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@st.composite
+def _splitter_inputs(draw):
+    """Products whose cofactor after trial division goes to the splitter."""
+
+    def prime(lo, hi):
+        return _prime_at_most(draw(st.integers(lo, hi)))
+
+    shape = draw(st.sampled_from(["balanced", "17x45", "20x42", "p2q", "pqr", "close"]))
+    if shape == "balanced":
+        bits = draw(st.integers(32, 63))
+        # p, q <= sqrt(2^bits - 1), so p q has at most `bits` bits
+        lo, hi = math.isqrt(1 << (bits - 1)), math.isqrt((1 << bits) - 1)
+        return prime(lo, hi) * prime(lo, hi)
+    if shape == "17x45":
+        return prime(2**16 + 1, 2**17) * prime(2**44, 2**45)
+    if shape == "20x42":
+        return prime(2**19, 2**20) * prime(2**41, 2**42)
+    if shape == "p2q":
+        return prime(2**16 + 1, 2**21) ** 2 * prime(2**16 + 1, 2**21)
+    if shape == "pqr":
+        return math.prod(prime(2**16 + 1, 2**21) for _ in range(3))
+    # a close pair: q is the next prime above p, near 2^31
+    p = prime(2**31 - 2**20, 2**31)
+    q = p + 2
+    while not is_prime(q):
+        q += 2
+    return p * q
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_splitter_inputs())
+def test_factorize_round_trips_splitter_shapes(n):
+    assert 1 < n < 2**63
+    # the undecorated function, so no cached result hides the work
+    f = factorize.__wrapped__(n)
+    # Factorization() checks that every entry is prime and in order
+    assert Factorization(f.entries).n == n
+
+
+def test_squfof_lanes_match_python_ints():
+    # the largest balanced semiprime below 2^63 under the last multiplier batch
+    p = _prime_at_most(math.isqrt(2**63 - 1))
+    v = p * _prime_at_most((2**63 - 1) // p)
+    multipliers = arith._multipliers()
+    assert len(multipliers) == 4982 and multipliers[-1] == 2**13 - 1
+    width = max(8, int(4 * v**0.125))
+    D = [k * v for k in multipliers[(len(multipliers) - 1) // width * width :]]
+    roots = list(map(math.isqrt, D))
+    Q = [d - r * r for d, r in zip(D, roots)]
+    lanes = [np.array(x, dtype=np.int64) for x in (roots, roots, [1] * len(D), Q)]
+    shadow = [np.array(x, dtype=object) for x in (roots, roots, [1] * len(D), Q)]
+    for _ in range(300):
+        lanes[1:] = arith._cycle_step(*lanes)
+        shadow[1:] = arith._cycle_step(*shadow)
+        for lane, exact in zip(lanes, shadow):
+            assert lane.tolist() == exact.tolist()
+        assert max(shadow[3]) < 2**40
+        # float sqrt decides the square test as isqrt does
+        Q_int = lanes[3]
+        r = np.sqrt(Q_int).astype(np.int64)
+        assert (r * r == Q_int).tolist() == [math.isqrt(q) ** 2 == q for q in shadow[3]]
+
+
+def test_squfof_ends_typed_once_multipliers_are_spent(monkeypatch):
+    # a prime has no proper factor, so every lane runs out
+    monkeypatch.setattr(arith, "_multipliers", lambda: (1, 2, 3))
+    with pytest.raises(ArithmeticError, match="1000003"):
+        arith._squfof(1000003)
 
 
 def test_factorization_validates_user_entries():

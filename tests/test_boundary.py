@@ -5,15 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
+from finzeta import boundary
 from finzeta.boundary import (
     UNIT_TOL,
     IntPoly,
+    RootFindingError,
     UnitarityVerdict,
     build_G,
     classify,
     factor_H,
     poly_roots,
 )
+from finzeta.cli import main
 
 
 def test_build_G_examples():
@@ -138,9 +141,24 @@ def test_poly_roots_overflow_fails_without_warnings():
     # the start radius 1 + 10^6 overflows z^60, so every step is nan
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(RootFindingError, match="did not converge"):
             poly_roots(IntPoly((10**6,) + (0,) * 59 + (1,)))
     assert caught == []
+
+
+def test_root_failure_is_typed_in_library_and_cli(monkeypatch, capsys):
+    monkeypatch.setattr(boundary, "_MAX_ITER", 1)
+    with pytest.raises(RootFindingError, match="did not converge"):
+        poly_roots(IntPoly((1, -1, 0, 1)))
+    assert issubclass(RootFindingError, ArithmeticError)
+    # no verdict cached by an earlier test may stand in for the solve
+    classify.cache_clear()
+    code = main(["unitarity", "--kmax", "2", "--lmax", "2", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: root iteration did not converge")
 
 
 def test_classify_examples():

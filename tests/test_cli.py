@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import json
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finzeta
-from finzeta.cli import _build_parser, _emit, _json_leaf, main
+from finzeta.cli import _build_parser, _json_leaf, _render, main
 
 
 def run(capsys, *argv):
@@ -291,6 +290,18 @@ def test_average_sigma_overflow_is_an_error(capsys):
     assert err.startswith("error: ") and "sigma" in err and "34" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_result_too_long_for_str_is_an_error(capsys, fmt):
+    # sigma_400(2^62) has about 7470 digits, past CPython's int-to-str limit
+    argv = ["eval", "-N", str(2**62), "-m", "1", "-s", "-400", "--exact", "--format", fmt]
+    assert sys.get_int_max_str_digits() < 7000
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 EVAL_EXACT_JSON = """\
 {
   "command": "eval",
@@ -340,10 +351,8 @@ def test_json_fraction_golden_text(capsys):
 
 
 def test_json_rejects_unknown_leaf_types():
-    from finzeta.cli import _emit
-
     with pytest.raises(TypeError):
-        _emit({"results": [{"value": object()}]}, "json")
+        _render({"results": [{"value": object()}]}, "json")
 
 
 def test_repeated_main_calls_are_independent(capsys, monkeypatch):
@@ -406,10 +415,8 @@ def _dumps(report):
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_leaf) + "\n"
 
 
-def _assert_same_json(capsys, report):
-    capsys.readouterr()
-    _emit(report, "json")
-    assert capsys.readouterr().out == _dumps(report)
+def _assert_same_json(report):
+    assert _render(report, "json") == _dumps(report)
 
 
 def _handler_report(*argv):
@@ -435,10 +442,10 @@ def _handler_report(*argv):
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_json_bytes_equal_json_dumps_per_subcommand(capsys, argv):
+def test_json_bytes_equal_json_dumps_per_subcommand(argv):
     report = _handler_report(*argv)
     assert report["results"]
-    _assert_same_json(capsys, report)
+    _assert_same_json(report)
 
 
 def test_json_unitarity_report_covers_every_leaf_kind():
@@ -447,7 +454,7 @@ def test_json_unitarity_report_covers_every_leaf_kind():
     assert {bool, type(None), str, float, complex} <= kinds
 
 
-def test_json_bytes_equal_json_dumps_on_edge_cases(capsys):
+def test_json_bytes_equal_json_dumps_on_edge_cases():
     escaped = [
         "caf\u00e9", "\u2603 \U0001f600", "tab\tnl\n\"q\" back\\", "\x00\x1f", "%s %% %(x)s", ""
     ]
@@ -468,7 +475,7 @@ def test_json_bytes_equal_json_dumps_on_edge_cases(capsys):
         {"results": [{"%": 1, "%s": 2, "\u00e9": 3}] * 3},
     ]
     for report in cases:
-        _assert_same_json(capsys, report)
+        _assert_same_json(report)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -483,7 +490,7 @@ def test_json_rejects_non_finite_floats(bad):
         with pytest.raises(ValueError):
             _dumps(report)
         with pytest.raises(ValueError):
-            _emit(report, "json")
+            _render(report, "json")
 
 
 _LEAVES = st.one_of(
@@ -514,9 +521,7 @@ def _flat_reports(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_flat_reports())
 def test_json_bytes_equal_json_dumps_property(report):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        _emit(report, "json")
-    assert out.getvalue() == _dumps(report)
+    assert _render(report, "json") == _dumps(report)
 
 
 def test_closed_pipe_exits_1_without_traceback():
