@@ -15,7 +15,7 @@ from .arith import (
     multiplicative_sieve,
 )
 from .limits import dirichlet_convolve, riemann_zeta
-from .zeta import FloatOverflowError, _brute_table, _integral, chain_product_counts
+from .zeta import FloatOverflowError, _brute_table, _integral, _local, chain_product_counts
 
 _RATE_NOTE = (
     "no convergence rate is proved for these averages; "
@@ -107,8 +107,7 @@ def average_experiment(kind: str, m: int, bound: int, sigma: float | None = None
         ) / (1.0 + m * sig)
 
         def local(p, e):
-            x = p**sig
-            return sum(k * x**t for t, k in enumerate(_exponent_sum_counts(e, m)))
+            return _local(e, m, p**sig)
 
         note = (
             _RATE_NOTE

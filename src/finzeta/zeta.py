@@ -6,8 +6,9 @@ by their sum through a recurrence) and the Euler-product evaluation (its closed
 q-series form), the multivariable variant Z^gamma_N(t_1..t_m), the zero set on
 the imaginary axis, and exact special values at negative integers.
 
-Complex powers of a positive integer v are always exp(-s ln v) with the real
-logarithm, so there is no branch ambiguity.
+Float eval_brute, eval_euler and eval_multivar form every power v^(-s) of a
+positive integer v by one helper, _exp_neg: its modulus and phase with the real
+logarithm, so there is no branch ambiguity, under one rule for a phase overflow.
 """
 
 from __future__ import annotations
@@ -102,18 +103,23 @@ def _finite(s) -> complex:
     return z
 
 
+def _exp_neg(L: float, z: complex, top: float | None = None) -> complex:
+    """e^(-zL) for real L >= 0 from its modulus and phase, so a modulus that
+    underflows to 0 takes any phase.  Raises OverflowError where the modulus
+    overflows, or where the phase Im(z) T overflows and Re(z) T is not +inf;
+    T is top, the largest multiple of L in the caller's value, else L."""
+    T = L if top is None else top
+    if math.isinf(z.imag * T) and z.real * T != math.inf:
+        raise OverflowError(f"the phase Im(s) * {T} overflows")
+    return cmath.rect(math.exp(-z.real * L), -z.imag * L)
+
+
 def _float_local(p: int, e: int, m: int, z: complex) -> complex:
     """Float eval_brute's per-prime factor sum_t h(t) p^(-zt) at p^e: _local
-    at x = p^(-z), built from its modulus and phase, so a modulus that
-    underflows to 0 takes any phase.  Raises OverflowError where the modulus
-    overflows, or where the phase Im(z) e m log p of the top term does and
-    its modulus exponent Re(z) e m log p is not +inf; a factor that
-    overflows later is not finite, and neither is any product with it."""
+    at x = p^(-z), under the phase rule at the top term p^(-z e m), which
+    Horner never forms; a factor that overflows later is not finite."""
     lp = math.log(p)
-    top = e * m * lp
-    if math.isinf(z.imag * top) and z.real * top != math.inf:
-        raise OverflowError(f"the phase of p^(-s t) overflows at p^e = {p}^{e}")
-    return _local(e, m, cmath.rect(math.exp(-z.real * lp), -z.imag * lp))
+    return _local(e, m, _exp_neg(lp, z, e * m * lp))
 
 
 def eval_brute(N: int, m: int, s, exact: bool = False):
@@ -214,8 +220,8 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
         vanishing = 0
         for k in range(1, m + 1):
             try:
-                num = 1.0 - cmath.exp(-z * (e + k) * lp)
-                den = 1.0 - cmath.exp(-z * k * lp)
+                num = 1.0 - _exp_neg((e + k) * lp, z)
+                den = 1.0 - _exp_neg(k * lp, z)
             except OverflowError as exc:
                 raise _overflow(m, N, z) from exc
             if abs(num) < _DEGENERATE_TOL:
@@ -262,7 +268,7 @@ def eval_multivar(gamma, N: int, t, method: str = "product") -> complex:
         if method == "product":
             value = complex(1.0)
             for p, e in factorize(N):
-                args = [cmath.exp(-tj * math.log(p)) for tj in t]
+                args = [_exp_neg(math.log(p), tj) for tj in t]
                 value *= complex(_gfun_poly(sig.parts, e).evaluate(args))
         else:
             value = _multivar_direct(sig.parts, t, N)
@@ -287,8 +293,7 @@ def _multivar_direct(parts: tuple[int, ...], t: list, bound: int) -> complex:
         dc = d**c
         if bound % dc == 0:
             inner = _multivar_direct(parts[1:], t[1:], dc)
-            # d = 1 contributes 1^(-c t) = 1, which pow gives as nan at an infinite phase
-            total += inner if d == 1 else d ** (-c * t[0]) * inner
+            total += _exp_neg(c * math.log(d), t[0]) * inner
     return total
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finzeta
@@ -300,6 +301,101 @@ def test_result_too_long_for_str_is_an_error(capsys, fmt):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# every subcommand over its edge values: a report on stdout, or exit 2 with
+# one error line
+
+
+_INTS = st.sampled_from(["1", "2", "3", "5", "0", "-1"])
+_N = st.sampled_from(
+    ["1", "2", "6", "12", "720", str(2**61 - 1), str(2**62), str(2147483629 * 2147483647),
+     "0", "-1"]
+)
+_PARTS = st.sampled_from([0, 1, -1, 2, -400, 400, 0.5, -0.5, 1e308, 1.7e308, -1.7e308])
+
+
+@st.composite
+def _points(draw):
+    """A point as the CLI reads it: a number, a complex with i, or not finite."""
+    re, im = draw(_PARTS), draw(_PARTS)
+    complex_text = f"{re!r}{float(im):+}i"
+    # mostly complex, so most draws get past the parser
+    text = draw(st.sampled_from([f"{re!r}", complex_text, complex_text, complex_text, "nan"]))
+    return f"--point={text}"
+
+
+@st.composite
+def _argvs(draw):
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    command = pick("eval", "zeros", "gfun", "powerful", "unitarity", "average", "eisenstein")
+    argv = [command]
+    if command == "eval":
+        argv += ["-N", draw(_N), "-m", draw(_INTS), draw(_points())]
+        argv += [f"--mode={pick('brute', 'euler', 'both')}", *pick([], ["--exact"])]
+    elif command == "zeros":
+        argv += ["-N", draw(_N), "-m", draw(_INTS), f"--height={pick('0', '-1', '1', '30')}"]
+        argv += pick([], ["--all-candidates"])
+    elif command == "gfun":
+        argv.append(pick("1", "2,1", "1,1,1", "3,2,1", "2,2,1", "0", "1,-1", "x"))
+        argv += pick(["-l", draw(_INTS)], ["--infinite"], ["--infinite", f"--trunc={draw(_INTS)}"])
+    elif command == "powerful":
+        argv += ["-k", draw(_INTS), "-l", draw(_INTS)]
+        argv.append(pick("--max=0", "--max=-1", "--max=100", "--max=10000",
+                         "--canonical=0", "--canonical=324", f"--canonical={2**62}"))
+    elif command == "unitarity":
+        argv += [f"--kmax={draw(_INTS)}", f"--lmax={pick('0', '-1', '1', '3')}"]
+    elif command == "average":
+        argv += [pick("g_m_inf", "Z_at_sigma", "Z_at_zero"), "-m", draw(_INTS)]
+        argv.append(pick("--max=0", "--max=-1", "--max=1000", "--max=2000"))
+        argv += pick([], ["--sigma=0"], ["--sigma=-1"], ["--sigma=0.5"], ["--sigma=25.5"],
+                     ["--sigma=1.7e308"])
+    else:
+        argv += ["-m", draw(_INTS), draw(_points()), f"--trunc={pick('1', '40', '0', '-1')}"]
+    return argv + [f"--format={pick('human', 'json', 'csv')}"]
+
+
+# the float overflow that float eval_euler once ended in "math domain error"
+_EULER_PHASE = ["eval", "-N", "6", "-m", "2", "--point=0.5+1.7e308i", "--mode=euler"]
+# the messages of math, cmath and complex ** errors, which no route should pass on
+_UNTYPED = ("math domain error", "math range error", "complex exponentiation", "complex power")
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@example(_EULER_PHASE + ["--format=json"])
+@example(["eval", "-N", "12", "-m", "2", "--point=0.5+1e17i", "--mode=both", "--format=csv"])
+@given(_argvs())
+def test_every_subcommand_reports_or_fails_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert caught == [], argv
+    if code == 1:
+        # routes that disagree, as --mode both does at a huge Im s, where each
+        # rounds the phase its own way; the report still goes to stdout
+        assert argv[0] == "eval" and "--mode=both" in argv, argv
+    assert code in (0, 1, 2), argv
+    if code != 2:
+        assert out and err == "", argv
+        return
+    assert out == "", argv
+    lines = err.splitlines()
+    assert [line for line in lines if "error: " in line] == lines[-1:], argv
+    if lines[0].startswith("error: "):
+        assert len(lines) == 1 and not any(msg in err for msg in _UNTYPED), argv
+    else:
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1], argv
+    if argv[:-1] == _EULER_PHASE:
+        assert "overflows a float" in err, err
 
 
 EVAL_EXACT_JSON = """\

@@ -27,6 +27,7 @@ from finzeta.zeta import (
     ZeroLocation,
     _axis_orders,
     _brute_table,
+    _exp_neg,
     _exponent_sum_counts,
     _float_local,
     chain_product_counts,
@@ -329,6 +330,45 @@ def test_float_brute_phase_rule_at_the_edges():
         want = 1.486338490991561 + 1.6120745507201346j
         assert cmath.isfinite(value) and abs(value - want) <= 1e-12 * abs(want)
     assert caught == []
+
+
+def test_every_float_route_ends_an_infinite_phase_typed():
+    # Im(s) log 3 is +inf: each route forms 3^(-s) by _exp_neg and its phase rule
+    s = 0.5 + 1.7e308j
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatOverflowError, match="overflows a float"):
+            eval_euler(6, 2, s)
+        for method in ("product", "direct"):
+            with pytest.raises(FloatOverflowError, match="overflows a float"):
+                eval_multivar((1,), 6, [s], method=method)
+        # every phase here is finite, so both methods give a value, and the same one
+        t = [0.5 + 1e308j, 1]
+        product = eval_multivar((2, 1), 12, t, method="product")
+        direct = eval_multivar((2, 1), 12, t, method="direct")
+        assert cmath.isfinite(product) and abs(direct - product) <= 1e-12 * abs(product)
+    assert caught == []
+
+
+def test_exp_neg_is_cmath_exp_bit_for_bit():
+    # past |Re(z) L| = 708 cmath.exp scales exp(x - 1) by e, so only below it
+    # are the two the same product exp(x) cos(y), exp(x) sin(y)
+    draws = random.Random(28)
+    for _ in range(20000):
+        L = draws.choice(
+            [0.0, math.log(draws.randrange(2, 2**62)), draws.randrange(1, 200) * LOG2]
+        )
+        re, im = (draws.choice((-1, 1)) * 10 ** draws.uniform(-5, top) for top in (3, 308))
+        z = complex(re, im)
+        try:
+            want = cmath.exp(complex(-z.real * L, -z.imag * L))
+        except (OverflowError, ValueError):
+            with pytest.raises(OverflowError):
+                _exp_neg(L, z)
+            continue
+        if abs(z.real * L) <= 708:
+            got = _exp_neg(L, z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (L, z)
 
 
 def test_float_local_against_mpmath():
