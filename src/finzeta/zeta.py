@@ -6,9 +6,9 @@ by their sum through a recurrence) and the Euler-product evaluation (its closed
 q-series form), the multivariable variant Z^gamma_N(t_1..t_m), the zero set on
 the imaginary axis, and exact special values at negative integers.
 
-Float eval_brute, eval_euler and eval_multivar form every power v^(-s) of a
-positive integer v by one helper, _exp_neg: its modulus and phase with the real
-logarithm, so there is no branch ambiguity, under one rule for a phase overflow.
+Float routes form each power v^(-s) of a positive integer v by one helper,
+_exp_neg (modulus and phase from the real logarithm, one phase-overflow rule);
+float brute and Euler both start from its x = p^(-s) per prime (_float_x).
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ def _exp_neg(L: float, z: complex, top: float | None = None) -> complex:
     return cmath.rect(math.exp(-z.real * L), -z.imag * L)
 
 
-def _float_local(p: int, e: int, m: int, z: complex) -> complex:
-    """Float eval_brute's per-prime factor sum_t h(t) p^(-zt) at p^e: _local
-    at x = p^(-z), under the phase rule at the top term p^(-z e m), which
-    Horner never forms; a factor that overflows later is not finite."""
+def _float_x(p: int, e: int, m: int, z: complex) -> complex:
+    """x = p^(-z) at p^e for both float routes, under the phase rule at x^(e m)."""
     lp = math.log(p)
-    return _local(e, m, _exp_neg(lp, z, e * m * lp))
+    return _exp_neg(lp, z, e * m * lp)
 
 
 def eval_brute(N: int, m: int, s, exact: bool = False):
@@ -132,8 +130,8 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     exact=True needs integral s and returns an int (s <= 0) or Fraction
     (s > 0): the product of the integer factors _local at x = p^|s|,
     divided by N^(ms) once for s > 0.  Otherwise returns the complex product
-    of the factors _float_local at x = p^(-s); a non-finite s raises
-    ValueError, and an overflow FloatOverflowError.
+    of the factors _local at x = _float_x(p, e_p, m, s) = p^(-s); a
+    non-finite s raises ValueError, and an overflow FloatOverflowError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -146,7 +144,7 @@ def eval_brute(N: int, m: int, s, exact: bool = False):
     value = complex(1.0)
     try:
         for p, e in factorize(N):
-            value *= _float_local(p, e, m, z)
+            value *= _local(e, m, _float_x(p, e, m, z))
     except OverflowError as exc:
         raise _overflow(m, N, z) from exc
     if not cmath.isfinite(value):
@@ -159,7 +157,7 @@ def _brute_table(bound: int, m: int, s) -> list:
     multiplicative_sieve of eval_brute's per-prime factor.  For integral s
     (any type operator.index takes) it is _local at p^|s|, and slot n, divided
     by n^(ms) once for s > 0, equals eval_brute(n, m, int(s), exact=True) in
-    value and type.  Else it is _float_local, multiplied with the largest
+    value and type.  Else it is _local at _float_x, multiplied with the largest
     prime innermost; a slot that overflows raises FloatOverflowError.
     """
     if (k := _integral(s)) is not None:
@@ -170,7 +168,9 @@ def _brute_table(bound: int, m: int, s) -> list:
     else:
         z = _finite(s)
         try:
-            vals = multiplicative_sieve(bound, lambda p, e: _float_local(p, e, m, z), complex(1.0))
+            vals = multiplicative_sieve(
+                bound, lambda p, e: _local(e, m, _float_x(p, e, m, z)), complex(1.0)
+            )
         except OverflowError as exc:
             raise _overflow(m, "n", z) from exc
         if not all(map(cmath.isfinite, vals)):
@@ -191,11 +191,11 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
     integer quotient prod_k (X^{e_p+k} - 1) // prod_k (X^k - 1), a Gaussian
     binomial in X; for s > 0 the factors' X^{-e_p} multiply to N^{-ms}.
 
-    Otherwise returns complex; non-finite s raises ValueError and an overflow
-    FloatOverflowError.  A factor 1 - p^{-sa} within 1e-12 of 0 is replaced
-    by its weight a and counted +1 in a numerator, -1 in a denominator.  Per
-    prime, a positive count returns 0j, zero keeps the product (0/0 gives
-    (e_p+k)/k) and a negative count raises EulerFactorSingularity.
+    Otherwise returns complex by products of brute's x = _float_x(p, e_p, m,
+    s); non-finite s raises ValueError, an overflow FloatOverflowError.  A
+    factor 1 - x^a within 1e-12 of 0 is its weight a, counted +1 in a
+    numerator, -1 in a denominator.  Per prime, a positive count returns 0j,
+    zero keeps the product and a negative count raises EulerFactorSingularity.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -216,14 +216,14 @@ def eval_euler(N: int, m: int, s, exact: bool = False):
         return complex(chain_count(N, m))
     value = complex(1.0)
     for p, e in fact:
-        lp = math.log(p)
-        vanishing = 0
+        try:
+            x = _float_x(p, e, m, z)
+        except OverflowError as exc:
+            raise _overflow(m, N, z) from exc
+        xe, xk, vanishing = math.prod(itertools.repeat(x, e)), 1.0, 0
         for k in range(1, m + 1):
-            try:
-                num = 1.0 - _exp_neg((e + k) * lp, z)
-                den = 1.0 - _exp_neg(k * lp, z)
-            except OverflowError as exc:
-                raise _overflow(m, N, z) from exc
+            xk *= x
+            num, den = 1.0 - xe * xk, 1.0 - xk
             if abs(num) < _DEGENERATE_TOL:
                 num, vanishing = e + k, vanishing + 1
             if abs(den) < _DEGENERATE_TOL:

@@ -60,6 +60,17 @@ def test_eval_both_modes_discrepancy(capsys):
     assert rows["discrepancy"]["value"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "N, m, point", [("720", "3", "0.5+1e7i"), ("720", "3", "0.5+1e12i"), ("12", "2", "0.5+1e17i")]
+)
+def test_eval_both_modes_agree_far_up_the_axis(capsys, N, m, point):
+    # both routes take one x = p^(-s) per prime, so a phase rounded far from
+    # the true one still leaves them evaluating one identity in x
+    code, report, _ = run_json(capsys, "eval", "-N", N, "-m", m, f"--point={point}", "--mode=both")
+    assert code == 0 and report["notes"] == [], report
+    assert report["results"][-1]["value"] < 1e-12, report
+
+
 def test_eval_accepts_i_and_j_suffix(capsys):
     code1, rep1, _ = run_json(capsys, "eval", "-N", "12", "-m", "1", "--point", "1+2i")
     code2, rep2, _ = run_json(capsys, "eval", "-N", "12", "-m", "1", "--point", "1+2j")
@@ -367,6 +378,7 @@ _UNTYPED = ("math domain error", "math range error", "complex exponentiation", "
 @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
 @example(_EULER_PHASE + ["--format=json"])
 @example(["eval", "-N", "12", "-m", "2", "--point=0.5+1e17i", "--mode=both", "--format=csv"])
+@example(["eval", "-N", "720", "-m", "3", "--point=0.5+1e7i", "--mode=both", "--format=json"])
 @given(_argvs())
 def test_every_subcommand_reports_or_fails_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -380,9 +392,12 @@ def test_every_subcommand_reports_or_fails_with_one_error_line(argv):
     out, err = out.getvalue(), err.getvalue()
     assert caught == [], argv
     if code == 1:
-        # routes that disagree, as --mode both does at a huge Im s, where each
-        # rounds the phase its own way; the report still goes to stdout
+        # routes that disagree, which --mode both allows only on Re s = 0, where
+        # float brute's Horner over |x| = 1 can lose digits to cancellation;
+        # the report still goes to stdout
         assert argv[0] == "eval" and "--mode=both" in argv, argv
+        point = next(arg for arg in argv if arg.startswith("--point="))
+        assert complex(point.removeprefix("--point=").replace("i", "j")).real == 0, argv
     assert code in (0, 1, 2), argv
     if code != 2:
         assert out and err == "", argv

@@ -29,7 +29,8 @@ from finzeta.zeta import (
     _brute_table,
     _exp_neg,
     _exponent_sum_counts,
-    _float_local,
+    _float_x,
+    _local,
     chain_product_counts,
     circle_order_estimate,
     eval_brute,
@@ -350,6 +351,43 @@ def test_every_float_route_ends_an_infinite_phase_typed():
     assert caught == []
 
 
+def test_float_brute_and_euler_share_one_phase_rule():
+    # both routes take x = p^(-s) from _float_x, so near the top of the float
+    # range a phase Im(s) e m log p that overflows stops both routes or neither
+    draws = random.Random(29)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(4000):
+            N = draws.choice([2, 6, 12, 720, 2**40, 3**20 * 5**3])
+            m = draws.randint(1, 6)
+            im = draws.choice((-1, 1)) * 10 ** draws.uniform(300, 308.25)
+            s = complex(draws.choice((0.0, 0.5, -0.5, 2.0)), im)
+            raised = set()
+            for route in (eval_brute, eval_euler):
+                try:
+                    route(N, m, s)
+                except FloatOverflowError:
+                    raised.add(route.__name__)
+            assert len(raised) != 1, (N, m, s, raised)
+    assert caught == []
+
+
+def test_float_routes_agree_far_up_the_axis():
+    # with one x per prime the routes differ only by the rounding of two
+    # evaluations of one identity in x, which the absolute series Z^m_N(sigma)
+    # bounds however far the phase -Im(s) log p is from its true value
+    draws = random.Random(29)
+    for _ in range(600):
+        if draws.random() < 0.5:
+            N = math.prod(p ** draws.randint(0, 4) for p in primes(13))
+        else:
+            N = draws.randrange(1, 2**63)
+        m, sigma = draws.randint(1, 5), draws.uniform(0.25, 2)
+        s = complex(sigma, draws.choice((-1, 1)) * 10 ** draws.uniform(3, 17))
+        scale = eval_brute(N, m, sigma).real
+        assert abs(eval_brute(N, m, s) - eval_euler(N, m, s)) <= 1e-12 * scale, (N, m, s)
+
+
 def test_exp_neg_is_cmath_exp_bit_for_bit():
     # past |Re(z) L| = 708 cmath.exp scales exp(x - 1) by e, so only below it
     # are the two the same product exp(x) cos(y), exp(x) sin(y)
@@ -382,7 +420,7 @@ def test_float_local_against_mpmath():
             s = complex(draws.uniform(-3, 3), draws.uniform(-10, 10))
             x = mp.power(p, -mp.mpc(s.real, s.imag))
             terms = [k * x**t for t, k in enumerate(_exponent_sum_counts(e, m))]
-            err = abs(_float_local(p, e, m, s) - mp.fsum(terms))
+            err = abs(_local(e, m, _float_x(p, e, m, s)) - mp.fsum(terms))
             worst = max(worst, float(err / mp.fsum(abs(v) for v in terms)))
     assert worst <= 1e-12, worst
 
