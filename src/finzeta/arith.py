@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from typing import Callable, Iterator
 
+from .qpoly import _gaussian_series
+
 MAX_INPUT = 1 << 63
 
 _TRIAL_BOUND = 1 << 16
@@ -343,21 +345,15 @@ def _exponent_sum_counts(e: int, m: int) -> tuple[int, ...]:
 def bounded_partition_count(total: int, max_part: int, max_len: int | None = None) -> int:
     """Number of partitions of total with parts <= max_part and at most
     max_len parts (None: unbounded): the coefficient of q^total in the
-    Gaussian binomial [P+L, L]_q = prod_{i=1}^{L} (1 - q^(P+i)) / (1 - q^i),
-    with every series cut past q^total, in O(L total) int additions."""
+    Gaussian binomial [P+L, L]_q, by qpoly's running-sum kernel with every
+    series cut past q^total, in O(L total) int additions."""
     if total < 0:
         return 0
     if max_len is None:
         max_len = total
     # bounds clamped to [0, total]; a bound of 0 leaves only the empty partition
     P, L = min(max(max_part, 0), total), min(max(max_len, 0), total)
-    row = [1] + [0] * total
-    for i in range(1, L + 1):
-        for t in range(total, P + i - 1, -1):
-            row[t] -= row[t - P - i]
-        for t in range(i, total + 1):
-            row[t] += row[t - i]
-    return row[total]
+    return _gaussian_series(P, L, total)[total]
 
 
 def spf_sieve(limit: int) -> list[int]:

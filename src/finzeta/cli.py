@@ -237,12 +237,16 @@ def _cmd_eval(args) -> tuple[dict, int]:
     if args.mode == "both":
         if args.exact:
             disc = abs(Fraction(values["brute"]) - Fraction(values["euler"]))
-            ok = disc == 0
+            tol = 0
         else:
             disc = abs(values["brute"] - values["euler"])
-            ok = disc <= _EVAL_TOL * (1 + abs(values["brute"]))
+            # scaled by Z^m_N(Re s) = sum of |terms|, which no cancellation shrinks
+            try:
+                tol = _EVAL_TOL * (1 + abs(zeta.eval_brute(args.N, args.m, s.real)))
+            except zeta.FloatOverflowError:
+                tol = math.inf
         results.append({"route": "discrepancy", "value": disc})
-        if not ok:
+        if disc > tol:
             notes.append("routes disagree beyond tolerance")
             code = 1
     params = {"N": args.N, "m": args.m, "s": s, "mode": args.mode, "exact": args.exact}

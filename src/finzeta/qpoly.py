@@ -36,15 +36,21 @@ def poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Full product, untrimmed: trimmed factors give a nonzero leading term."""
+def poly_mul(a: Sequence[int], b: Sequence[int], trunc: int | None = None) -> list[int]:
+    """Product, untrimmed, formed only up to index trunc (None: the full
+    product, where trimmed factors give a nonzero leading term)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    support = [(j, cb) for j, cb in enumerate(b) if cb]
-    for i, ca in enumerate(a):
+    size = len(a) + len(b) - 1
+    if trunc is not None:
+        size = min(size, trunc + 1)
+    out = [0] * size
+    support = [(j, cb) for j, cb in enumerate(b[:size]) if cb]
+    for i, ca in enumerate(a[:size]):
         if ca:
             for j, cb in support:
+                if i + j >= size:
+                    break
                 out[i + j] += ca * cb
     return out
 
@@ -187,8 +193,7 @@ class QSeries:
         if isinstance(other, int):
             return QSeries(tuple(c * other for c in self.coeffs), self.trunc)
         t = self._common(other)
-        prod = poly_mul(self.coeffs[: t + 1], other.coeffs[: t + 1])
-        return QSeries(tuple(prod[: t + 1]), t)
+        return QSeries(tuple(poly_mul(self.coeffs, other.coeffs, t)), t)
 
     __rmul__ = __mul__
 
@@ -348,26 +353,54 @@ class MultiQPoly:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian binomials
+# the running-sum kernel and Gaussian binomials
+
+
+def _rational_series(
+    num_terms: Iterable[tuple[int, int]], den_exponents: Sequence[int], trunc: int,
+    num_exponents: Iterable[int] = (),
+) -> QSeries:
+    """(sum of c q^e over (e, c) in num_terms) prod_b (1 - q^b) / prod_a (1 - q^a)
+    over b in num_exponents and a in den_exponents, truncated at order trunc."""
+    if any(a < 1 for a in den_exponents):
+        raise ValueError("geometric step must be >= 1")
+    out = [0] * (trunc + 1)
+    for e, c in num_terms:
+        if e <= trunc:
+            out[e] += c
+    # multiplying by 1 - q^b is the descending step out[i] -= out[i - b]
+    for b in num_exponents:
+        for i in range(trunc, b - 1, -1):
+            out[i] -= out[i - b]
+    # dividing by 1 - q^a is the running sum out[i] += out[i - a]
+    for a in den_exponents:
+        for i in range(a, trunc + 1):
+            out[i] += out[i - a]
+    return QSeries(tuple(out), trunc)
+
+
+def _gaussian_series(P: int, L: int, trunc: int) -> tuple[int, ...]:
+    """[P+L, L]_q = prod_{i=1}^{L} (1 - q^(P+i)) / (1 - q^i) up to q^trunc."""
+    return _rational_series([(0, 1)], range(1, L + 1), trunc, range(P + 1, P + L + 1)).coeffs
 
 
 def qbinom(n: int, k: int) -> MultiQPoly:
     """Gaussian binomial [n choose k]_q as an exact one-variable polynomial.
 
-    [n choose k]_q = prod_{j=1}^{k} (1 - q^{n+1-j}) / (1 - q^j); k > n gives
-    the zero polynomial.
+    [n choose k]_q = prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i), run through
+    the numerator's degree: a nonzero coefficient past k(n - k) raises
+    ArithmeticError.  k > n gives the zero polynomial.
     """
     if n < 0 or k < 0:
         raise ValueError("qbinom needs n, k >= 0")
     if k > n:
         return MultiQPoly.zero(1)
     k = min(k, n - k)
-    num: list[int] = [1]
-    den: list[int] = [1]
-    for j in range(1, k + 1):
-        num = poly_mul(num, one_minus_q(n + 1 - j))
-        den = poly_mul(den, one_minus_q(j))
-    return MultiQPoly.from_univariate(poly_div_exact(num, den))
+    deg = k * (n - k)
+    coeffs = _gaussian_series(n - k, k, deg + k * (k + 1) // 2)
+    if any(coeffs[deg + 1 :]):
+        raise ArithmeticError("Gaussian binomial quotient is not a polynomial")
+    return MultiQPoly.from_univariate(coeffs[: deg + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +503,6 @@ def gfun_recurrence(gamma, l: int) -> MultiQPoly:
 
 # ---------------------------------------------------------------------------
 # closed forms of the infinite limits
-
-
-def _rational_series(
-    num_terms: Iterable[tuple[int, int]], den_exponents: Sequence[int], trunc: int
-) -> QSeries:
-    """(sum of c q^e over the (e, c) in num_terms) / prod_a (1 - q^a) over a
-    in den_exponents, truncated at order trunc."""
-    if any(a < 1 for a in den_exponents):
-        raise ValueError("geometric step must be >= 1")
-    out = [0] * (trunc + 1)
-    for e, c in num_terms:
-        if e <= trunc:
-            out[e] += c
-    # dividing by 1 - q^a is the running sum out[i] += out[i - a]
-    for a in den_exponents:
-        for i in range(a, trunc + 1):
-            out[i] += out[i - a]
-    return QSeries(tuple(out), trunc)
 
 
 def gfun_c1_series(c: int, trunc: int, powers: tuple[int, int] = (1, 1)) -> QSeries:

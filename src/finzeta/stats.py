@@ -15,6 +15,7 @@ from .arith import (
     multiplicative_sieve,
 )
 from .limits import dirichlet_convolve, riemann_zeta
+from .qpoly import _gaussian_series
 from .zeta import FloatOverflowError, _brute_table, _integral, _local, chain_product_counts
 
 _RATE_NOTE = (
@@ -40,12 +41,12 @@ def g_count(n: int, max_part: int, max_len: int | None = None) -> int:
 def coefficient_identity_check(N: int, m: int) -> bool:
     """True iff the multiset of chain products over divisor_chains(N, m)
     matches n -> prod_p (partitions of ord_p n, parts <= m, length <= ord_p N)
-    over the divisors n of N^m, built prime by prime."""
+    over the divisors n of N^m: one Gaussian binomial [ord_p N + m, m]_q per p."""
     if N < 1 or m < 1:
         raise ValueError("need N, m >= 1")
     predicted = {1: 1}
     for p, l in factorize(N):
-        local = [(p**t, bounded_partition_count(t, m, l)) for t in range(l * m + 1)]
+        local = [(p**t, k) for t, k in enumerate(_gaussian_series(l, m, l * m))]
         predicted = {d * pt: c * k for d, c in predicted.items() for pt, k in local}
     return chain_product_counts(N, m) == predicted
 

@@ -58,7 +58,7 @@ def chain_product_counts(N, m: int) -> dict[int, int]:
     combined by a coprime product, whose keys cannot collide.  Every key
     divides N^m.  It is the reference route that tests hold against the
     chain recurrence, and coefficient_identity_check against the Gaussian
-    binomials of bounded_partition_count; with prod_p (e_p m + 1) keys it
+    binomials of qpoly's running-sum kernel; with prod_p (e_p m + 1) keys it
     is not cached.
     """
     if m < 1:

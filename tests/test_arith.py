@@ -404,7 +404,8 @@ def test_multiplicative_sieve_custom_one():
 
 
 def _z_at_sigma_local(m, sig):
-    # the float local of stats.average_experiment("Z_at_sigma")
+    # a float local, sum_t h(t) x^t at x = p^sig, with the chain histogram h
+    # taken term by term from bounded_partition_count
     def local(p, e):
         x = p**sig
         return sum(bounded_partition_count(t, e, m) * x**t for t in range(e * m + 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from finzeta import qpoly
 from finzeta.qpoly import (
     KIND_C1,
     KIND_CC1,
@@ -39,6 +40,15 @@ def test_qbinom_examples():
     assert qbinom(5, 0) == MultiQPoly.one(1)
     assert qbinom(4, 2) == uni(1, 1, 2, 1, 1)
     assert qbinom(3, 5) == MultiQPoly.zero(1)
+
+
+def test_qbinom_certificate_rejects_a_tail(monkeypatch):
+    # a row with a nonzero coefficient past k(n - k) is no polynomial quotient
+    rows = qpoly._gaussian_series
+    monkeypatch.setattr(qpoly, "_gaussian_series", lambda *a: rows(*a)[:-1] + (1,))
+    with pytest.raises(ArithmeticError):
+        qbinom(6, 2)
+    assert qbinom(6, 0) == MultiQPoly.one(1)
 
 
 def test_qbinom_symmetry_and_pascal():
@@ -318,6 +328,20 @@ def test_qseries_mul_matches_literal_cauchy_product():
                 want = _literal_cauchy(a + [0] * tb, b + [0] * ta, ta + tb)
                 assert full == want, (ka, kb, ta, tb)
                 assert [type(x) for x in full] == [type(x) for x in want], (ka, kb)
+
+    def signed(length):
+        # zero runs and whole zero operands, small and > 2**200 of either sign
+        if rnd.random() < 0.1:
+            return [0] * length
+        return [rnd.choice((0, 0, rnd.randint(-9, 9), rnd.randint(-2**210, 2**210)))
+                for _ in range(length)]
+
+    # a capped product forms only the indices <= trunc: the sliced full product
+    for _ in range(400):
+        a, b = signed(rnd.choice((1, 1, 2, 9, 30))), signed(rnd.choice((1, 1, 4, 17, 30)))
+        full = poly_mul(a, b)
+        for trunc in (0, 1, rnd.randrange(len(full) + 3), len(full) - 1, len(full) + 4):
+            assert poly_mul(a, b, trunc) == full[: trunc + 1], (a, b, trunc)
 
 
 def test_qseries_truncation_discipline():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from finzeta.arith import (
     _exponent_chains,
+    bounded_partition_count,
     chain_count,
     divisor_chains,
     factorize,
@@ -122,6 +123,13 @@ def test_exponent_sum_counts_beyond_enumeration():
     assert len(h) == 62 * 30 + 1
     assert sum(h) == math.comb(92, 30)
     assert h == h[::-1]
+    # the recurrence against the product side: each coefficient read alone,
+    # and the whole certified Gaussian binomial
+    for e in range(13):
+        for m in range(1, 7):
+            h = list(_exponent_sum_counts(e, m))
+            assert [bounded_partition_count(t, e, m) for t in range(e * m + 1)] == h, (e, m)
+            assert qbinom(e + m, m) == MultiQPoly.from_univariate(h), (e, m)
 
 
 def test_eval_brute_exact_matches_flat_histogram():
